@@ -43,7 +43,7 @@ from repro.runtime.machine import (
     ResilientMachine,
     WatchdogTimeout,
 )
-from repro.runtime.memory import Memory
+from repro.runtime.memory import DATA_BASE, DATA_LIMIT, Memory
 
 
 class FaultOutcomeKind(enum.Enum):
@@ -270,7 +270,7 @@ def run_with_injection(
     ``accel`` (a :class:`repro.faults.snapshot.GoldenRecord` built for
     the *same* compiled program, config, memory and ``max_steps``)
     enables snapshot fast-forward to the injection tick and convergence
-    early-exit against the golden fingerprint stream. Acceleration is
+    early-exit against the golden hash streams. Acceleration is
     observationally invisible — the returned outcome is identical to an
     unaccelerated run — and is ignored under a wall-clock budget (the
     budget's trip point is inherently timing-dependent).
@@ -291,8 +291,9 @@ def run_with_injection(
     try:
         stats = machine.run()
     except ConvergedExit as conv:
-        # The injected run's architectural state matched a golden tick:
-        # its future *is* the golden suffix. Splice the terminal result.
+        # The injected run aligned with a golden tick and provably replays
+        # the golden suffix from there: splice the terminal result. It
+        # ends with golden's image except for the escaped cells.
         total_steps = conv.steps + (accel.total_steps - conv.golden_steps)
         if total_steps > max_steps:
             # The from-scratch run would have tripped the watchdog while
@@ -308,18 +309,8 @@ def run_with_injection(
                     f"{max_steps} steps (possible recovery livelock)"
                 ),
             )
-        recovered = machine.stats.recoveries > 0
-        return InjectionOutcome(
-            injection=injection,
-            kind=(
-                FaultOutcomeKind.RECOVERED
-                if recovered
-                else FaultOutcomeKind.MASKED
-            ),
-            correct=True,
-            recovered=recovered,
-            parity_detected=machine.stats.parity_detections > 0,
-        )
+        stats = machine.stats
+        correct = not any(DATA_BASE <= addr < DATA_LIMIT for addr in conv.escaped)
     except WatchdogTimeout as exc:
         return InjectionOutcome(
             injection=injection,
@@ -352,8 +343,8 @@ def run_with_injection(
             error=f"{type(exc).__name__}: {exc}",
             traceback=_traceback.format_exc(),
         )
-    image = machine.mem.data_image()
-    correct = image == golden
+    else:
+        correct = machine.mem.data_image() == golden
     recovered = stats.recoveries > 0
     if not correct:
         # Wrong output manufactured by the ECC decoder itself (a wrong

@@ -7,67 +7,96 @@ perturbation, recovers within a few WCDL windows, and then replays the
 remaining clean suffix to completion. This module removes both replays:
 
 * :func:`record_golden_run` executes each (benchmark, variant) pair
-  fault-free **once**, capturing periodic :class:`MachineSnapshot`\\ s
-  plus a per-tick *architectural fingerprint* stream.
+  fault-free **once**, capturing periodic :class:`MachineSnapshot`\\ s,
+  a per-tick register hash and effective-memory hash, and golden's
+  memory traffic: the last load of every address and every store
+  commit.
 * :func:`prepare_accelerated_run` fast-forwards an injection run by
   restoring the nearest snapshot strictly before the injection tick
   (prefix removal) and installs a convergence checker.
-* The checker compares the injected machine's fingerprint against the
-  golden stream after recovery quiesces; on a match it raises
+* Once recovery quiesces, the checker looks the injected machine's
+  register hash up in the golden stream. On an aligned tick whose
+  memory difference golden never reads again it raises
   :class:`ConvergedExit`, and the injector splices the golden terminal
   statistics (suffix removal).
 
 Soundness
 ---------
 
-The fingerprint is a stable 64-bit hash of the machine's *observable
-state*: program point, live-register values, and the effective memory
-image (the cell dict with every pending store-buffer write applied, as
-an incremental XOR fingerprint).  The checker only ever compares it
-once the injected machine carries **no outstanding fault state**: no
-armed injection, no pending detection, no tainted registers or cells,
-and no latent ECC flips in memory or checkpoint storage.  Under that
-guard the observable state determines the entire future:
+The register hash covers the program point and the values of the
+registers *live* there; the memory hash is an incremental XOR (Zobrist)
+fingerprint of the effective memory image, the cell dict with every
+pending regular store-buffer write applied. The checker only compares
+them once the injected machine carries **no outstanding fault state**:
+no armed injection, no pending detection, no tainted registers, no
+latent ECC flips in memory or checkpoint storage, and no colour-map
+parity error still waiting for its next access to trip. Tainted memory
+cells are allowed; they join the delta below.
 
-* **Control flow and step count** depend only on the program point,
-  register reads (``instr.srcs``) and load values.  A load returns the
-  youngest pending store-buffer value or the memory cell — exactly what
-  the effective image encodes — so two machines with equal observable
-  state execute the same instruction sequence forever.
-* **The final data image** is the effective image evolved by those same
-  writes: quarantined stores drain the very values the fingerprint
-  already folded in, so drain *timing* (RBB deadlines, CLQ fast-release
-  decisions) cannot change it.
-* **Recovery metadata is write-only.**  Checkpoint bindings, coloring
+Say the run's register hash matches golden tick ``g``. Let ``D`` be the
+cells whose effective value differs from golden's at ``g``, plus every
+tainted cell. If golden loads no cell of ``D`` after ``g``, the run
+replays golden's suffix:
+
+* **Loads are the only path from memory into registers.** A load
+  returns the youngest pending store-buffer value or the memory cell,
+  which is exactly the effective image. Golden's suffix loads only
+  cells outside ``D``, which hold golden's values, and both runs store
+  the same values from then on, so by induction every register value,
+  branch, address and step matches golden's.
+* **Only tainted registers trip parity.** No register is tainted at
+  ``g`` and no tainted cell is loaded again, so none ever is: no parity
+  detection. With no armed strike, pending detection, ECC syndrome or
+  latent colour-map parity error either, no recovery can follow.
+* **Recovery metadata is write-only.** Checkpoint bindings, coloring
   maps, checkpoint storage and the CLQ are only ever *read* during a
-  recovery or an injection — and with no fault state left, neither can
-  occur again on either run.  The structures may differ (a recovered
-  run's free-list rotation and binding kinds diverge from golden's
-  forever), but no future transition observes the difference.
+  recovery or an injection, and neither can occur again. The
+  structures may differ (a recovered run's free-list rotation and
+  binding kinds diverge from golden's forever), but no future
+  transition observes the difference. Drain *timing* (RBB deadlines,
+  CLQ fast-release decisions) moves values between the store buffer
+  and the cells without changing the effective image.
 * **Liveness filtering** — recovery rebuilds only checkpointed (live)
   registers, so a recovered run's dead registers differ from golden
-  forever.  Dead registers cannot influence any future transition, so
-  the encoding includes only the registers *live at the current program
+  forever. Dead registers cannot influence any future transition, so
+  the hash covers only the registers *live at the current program
   point*, computed by a backward dataflow fixpoint over the compiled
   CFG.
 
-Equal observable state therefore implies identical futures — final
-memory image, remaining step count, and zero further recoveries,
-detections or parity events on both sides.  Splicing cannot change an
-outcome's taxonomy class, only the wall-clock spent computing it.  Two
-distinct golden ticks can never share an observable state (the machine
-is deterministic, so both would have to finish in the same number of
-remaining steps), hence duplicate fingerprints are genuine 64-bit
-collisions; they are dropped from the index, which is always sound — a
-missed match merely means the run simulates to completion.
+The run therefore ends with golden's remaining step count, no further
+recovery, detection or ECC event, and golden's final image except for
+the cells of ``D`` that golden never stores to again (the *escaped*
+cells). The injector classifies it from that: an escaped cell in the
+data segment makes the outcome ``sdc`` (``miscorrected`` after an ECC
+miscorrection), otherwise it is ``masked``/``recovered``. An empty
+``D`` (equal memory hashes, no tainted cell) is the *exact* exit; any
+other match is a *delta* exit.
+
+``D`` is built from the cells either run can have changed since the
+restored snapshot: the machine's written cells (every ``_mem_write``:
+fast releases, drains, memory strikes, ECC rewrites), the store-buffer
+entries it holds now and held at restore, and golden's store commits
+between the snapshot and ``g``. The XOR of the differing cells' hash
+terms must equal the XOR of the two memory hashes; a disagreement
+raises :class:`SnapshotError` instead of guessing.
+
+A register hash shared by two golden ticks (a revisited register state
+with different memory, or a 64-bit collision) could splice the wrong
+suffix, so repeated hashes are dropped from the index. That is always
+sound: a missed match merely means the run simulates further.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import weakref
+from array import array
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.compiler.pipeline import CompiledProgram
+from repro.isa.instructions import Opcode
+from repro.isa.program import Program
 from repro.runtime.machine import (
     MachineSnapshot,
     ResilienceConfig,
@@ -89,7 +118,7 @@ def _mix64(x: int) -> int:
     Process-independent by construction (Python's builtin ``hash`` is
     salted per process, so golden records written by one worker must not
     be matched with it), and an order of magnitude cheaper than hashing
-    a ``repr`` — the golden recording computes a fingerprint every tick.
+    a ``repr`` — the golden recording computes a hash every tick.
     """
     x &= _M64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
@@ -98,30 +127,44 @@ def _mix64(x: int) -> int:
 
 
 class ConvergedExit(Exception):
-    """Raised out of ``ResilientMachine.run`` when the injected run's
-    architectural state matches a tick of the golden stream.
+    """Raised out of ``ResilientMachine.run`` when the injected run aligns
+    with a golden tick and provably replays golden's suffix from there.
 
-    Carries enough to splice the golden suffix: ``golden_tick`` /
-    ``golden_steps`` locate the matched point in the golden run and
-    ``steps`` is the injected run's own step count at the match.
+    ``golden_tick`` / ``golden_steps`` locate the matched point in the
+    golden run and ``steps`` is the injected run's own step count at the
+    match. ``delta`` holds the cells that differed from golden's
+    effective image there or were tainted (empty for an exact
+    convergence); ``escaped`` holds the differing ones golden never
+    stores to again, which the run finishes with a wrong value in.
     """
 
-    def __init__(self, golden_tick: int, golden_steps: int, steps: int):
+    def __init__(
+        self,
+        golden_tick: int,
+        golden_steps: int,
+        steps: int,
+        delta: tuple[int, ...] = (),
+        escaped: tuple[int, ...] = (),
+    ):
         super().__init__(
             f"converged with the golden run at tick {golden_tick}"
         )
         self.golden_tick = golden_tick
         self.golden_steps = golden_steps
         self.steps = steps
+        self.delta = delta
+        self.escaped = escaped
 
 
-class _FingerprintEngine:
-    """Computes per-tick observable-state fingerprints for one machine."""
+class _Liveness:
+    """The registers live before every instruction of one program.
 
-    def __init__(self, machine: ResilientMachine):
-        self.machine = machine
-        program = machine.program
-        self._block_index = {b.label: i for i, b in enumerate(program.blocks)}
+    Built once per program and shared by every machine that hashes it:
+    the fixpoint costs more than a typical accelerated run.
+    """
+
+    def __init__(self, program: Program):
+        self.block_index = {b.label: i for i, b in enumerate(program.blocks)}
         self._succs: dict[str, list[str]] = {}
         for block in program.blocks:
             succs: list[str] = []
@@ -134,9 +177,7 @@ class _FingerprintEngine:
         self._live: dict[str, list[tuple]] = {}
         self._blocks = {b.label: b.instructions for b in program.blocks}
 
-    # -- liveness ---------------------------------------------------------
-
-    def _solve_liveness(self, program) -> dict[str, set]:
+    def _solve_liveness(self, program: Program) -> dict[str, set]:
         """Backward may-liveness fixpoint over the compiled CFG.
 
         Every register read in the machine goes through ``instr.srcs``
@@ -162,12 +203,11 @@ class _FingerprintEngine:
                     changed = True
         return live_in
 
-    def _live_list(self, label: str) -> list[tuple]:
+    def live_list(self, label: str) -> list[tuple]:
         """Live register *indices* before each instruction (plus live-out).
 
-        Stored as sorted index tuples so :meth:`fingerprint` can read the
-        machine's flat register list directly; the canon's value order is
-        unchanged (ascending register index, exactly as before).
+        Stored as sorted index tuples so the register hash can read the
+        machine's flat register list directly, in ascending index order.
         """
         cached = self._live.get(label)
         if cached is not None:
@@ -188,23 +228,48 @@ class _FingerprintEngine:
         self._live[label] = out
         return out
 
+
+# Memoised per Program, weakly like the machine's decode cache: a
+# campaign hashes one program in thousands of runs.
+_LIVENESS_CACHE: "weakref.WeakKeyDictionary[Program, _Liveness]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+class _FingerprintEngine:
+    """Computes per-tick register and memory hashes for one machine."""
+
+    def __init__(self, machine: ResilientMachine):
+        self.machine = machine
+        program = machine.program
+        liveness = _LIVENESS_CACHE.get(program)
+        if liveness is None:
+            liveness = _LIVENESS_CACHE[program] = _Liveness(program)
+        self._liveness = liveness
+
     # -- the observable canon ---------------------------------------------
 
-    def fingerprint(self, label: str, pc: int, t: int) -> int:
-        """Stable hash of the machine's observable state at the
-        loop-bottom point ``(label, pc)`` reached at tick ``t``.
+    def register_hash(self, label: str, pc: int) -> int:
+        """Stable hash of the program point ``(label, pc)`` and the values
+        of the registers live there.
 
-        The canon is (block, pc, live-register values, effective memory
-        fingerprint), where the effective image applies every pending
-        regular store-buffer entry over the cell dict — exactly the
-        values loads can observe and drains will eventually merge.  See
-        the module docstring for why this determines the entire future
-        once no fault state is outstanding.
+        Iterated splitmix64 over (block, pc, live values...): each step is
+        order-sensitive, so this is a stable 64-bit digest of that tuple.
         """
-        m = self.machine
-        live = self._live_list(label)
+        liveness = self._liveness
+        live = liveness.live_list(label)
         live_regs = live[pc] if pc < len(live) else live[-1]
-        vals = m.regs.vals
+        vals = self.machine.regs.vals
+        h = _mix64(liveness.block_index[label] * 0x9E3779B97F4A7C15 + pc + 1)
+        for i in live_regs:
+            h = _mix64(h ^ (vals[i] & _M64))
+        return h
+
+    def memory_hash(self) -> int:
+        """XOR fingerprint of the effective memory image: every pending
+        regular store-buffer entry applied over the cell dict, exactly
+        the values loads can observe and drains will eventually merge."""
+        m = self.machine
         eff = m._mem_fp
         entries = m.sb.entries
         if entries:
@@ -217,13 +282,105 @@ class _FingerprintEngine:
                 for addr, value in pending.items():
                     eff ^= _cell_hash(addr, cells_get(addr, 0))
                     eff ^= _cell_hash(addr, value)
-        # Iterated splitmix64 over (block, pc, live values..., eff): each
-        # step is order-sensitive, so this is a stable 64-bit digest of
-        # the same canonical tuple the old repr-based hash encoded.
-        h = _mix64(self._block_index[label] * 0x9E3779B97F4A7C15 + pc + 1)
-        for i in live_regs:
-            h = _mix64(h ^ (vals[i] & _M64))
-        return _mix64(h ^ (eff & _M64))
+        return eff
+
+
+def _memory_ops(program: Program) -> dict[str, list[tuple | None]]:
+    """Per block position, the memory access of the next instruction to
+    commit: ``(is_store, base, imm, value)`` register indices, or None.
+
+    Boundaries are skipped: they commit nothing and write no register,
+    so the access can be read off the registers before it executes.
+    """
+    ops: dict[str, list[tuple | None]] = {}
+    for block in program.blocks:
+        instrs = block.instructions
+        row: list[tuple | None] = [None] * (len(instrs) + 1)
+        following: tuple | None = None
+        for i in range(len(instrs) - 1, -1, -1):
+            instr = instrs[i]
+            if instr.op is Opcode.LD:
+                following = (False, instr.srcs[0].index, instr.imm, 0)
+            elif instr.op is Opcode.ST:
+                value, base = instr.srcs
+                following = (True, base.index, instr.imm, value.index)
+            elif instr.op is not Opcode.BOUNDARY:
+                following = None
+            row[i] = following
+        ops[block.label] = row
+    return ops
+
+
+class _SortedIntMap:
+    """Read-only int -> int map as two parallel arrays, keys sorted.
+
+    A lookup bisects the key array. An entry costs its two array slots
+    instead of a dict's table slot plus boxed key and value, and the map
+    pickles as two byte strings.
+    """
+
+    __slots__ = ("keys", "values")
+
+    def __init__(
+        self, items: Iterable[tuple[int, int]], key_type: str, value_type: str
+    ):
+        pairs = sorted(items)
+        self.keys = array(key_type, [k for k, _ in pairs])
+        self.values = array(value_type, [v for _, v in pairs])
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def get(self, key: int, default: int | None = None) -> int | None:
+        keys = self.keys
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            return self.values[i]
+        return default
+
+
+class _StoreHistory:
+    """Golden's store commits, by tick and by address.
+
+    A commit sets its address's effective value at once (a quarantined
+    store is forwarded to loads; its later drain changes nothing), so
+    golden's effective value of a cell at tick ``g`` is that of its last
+    store at or before ``g``, or the initial image's.
+    """
+
+    __slots__ = ("ticks", "addrs", "cell_addrs", "cell_ticks", "cell_values")
+
+    def __init__(self, log: list[tuple[int, int, int]]):
+        """``log`` holds ``(tick, addr, value)`` in commit order."""
+        self.ticks = array("I", [t for t, _, _ in log])
+        self.addrs = array("q", [a for _, a, _ in log])
+        by_cell = sorted(log, key=lambda e: (e[1], e[0]))
+        self.cell_addrs = array("q", [a for _, a, _ in by_cell])
+        self.cell_ticks = array("I", [t for t, _, _ in by_cell])
+        self.cell_values = array("q", [v for _, _, v in by_cell])
+
+    def __len__(self) -> int:
+        return len(self.ticks)
+
+    def addresses_between(self, after: int, until: int) -> array:
+        """Addresses of the stores committed at ticks in ``(after, until]``."""
+        ticks = self.ticks
+        return self.addrs[bisect_right(ticks, after):bisect_right(ticks, until)]
+
+    def _span(self, addr: int) -> tuple[int, int]:
+        lo = bisect_left(self.cell_addrs, addr)
+        return lo, bisect_right(self.cell_addrs, addr, lo)
+
+    def value_at(self, addr: int, tick: int, initial: int) -> int:
+        """Golden's effective value of ``addr`` at ``tick``."""
+        lo, hi = self._span(addr)
+        i = bisect_right(self.cell_ticks, tick, lo, hi) - 1
+        return self.cell_values[i] if i >= lo else initial
+
+    def last_tick(self, addr: int) -> int:
+        """Tick of golden's last store to ``addr`` (0 if it never stores)."""
+        lo, hi = self._span(addr)
+        return self.cell_ticks[hi - 1] if hi > lo else 0
 
 
 def _canon_expr(expr) -> tuple:
@@ -311,15 +468,23 @@ class _ConvergenceChecker:
 
     MAX_GAP = 64
 
-    __slots__ = ("_machine", "_fp_index", "_engine", "_gap", "_skip",
-                 "_recoveries")
+    __slots__ = ("_machine", "_record", "_engine", "_since", "_initial",
+                 "_restored_sb", "_blocker", "_gap", "_skip", "_recoveries")
 
-    def __init__(self, machine: ResilientMachine,
-                 fp_index: dict[int, tuple[int, int]],
-                 engine: _FingerprintEngine):
+    def __init__(self, machine: ResilientMachine, record: GoldenRecord,
+                 since: int, initial: dict[int, int]):
         self._machine = machine
-        self._fp_index = fp_index
-        self._engine = engine
+        self._record = record
+        self._engine = _FingerprintEngine(machine)
+        # The golden tick the machine's state was restored to, golden's
+        # initial cells, and the store-buffer addresses held at restore.
+        self._since = since
+        self._initial = initial
+        self._restored_sb = frozenset(
+            e.addr for e in machine.sb.entries if not e.is_checkpoint
+        )
+        # The delta cell that golden loaded later at the last attempt.
+        self._blocker: int | None = None
         self._gap = 1
         self._skip = 0
         self._recoveries = machine.stats.recoveries
@@ -334,43 +499,116 @@ class _ConvergenceChecker:
             self._gap = 1
             self._skip = 0
         if (
-            m._tainted_cells
-            or m._tainted_regs
+            m._tainted_regs
             or m._detection_due is not None
             or m._slot_flips
             or m._mem_flips
+            or (m.coloring.parity_bad and not m.coloring.poisoned)
         ):
-            # Outstanding fault state: cannot have converged yet. Checked
-            # cells-first — silent corruptions keep tainted cells for the
-            # whole remaining run, so that read short-circuits the most.
+            # Outstanding fault state: cannot have converged yet. A struck
+            # colour map counts until an access observes it, because that
+            # access trips parity and forces a recovery.
             return
         if self._skip:
             self._skip -= 1
             return
-        hit = self._fp_index.get(self._engine.fingerprint(label, pc, t))
-        if hit is not None:
-            raise ConvergedExit(
-                golden_tick=hit[0], golden_steps=hit[1], steps=steps
-            )
+        record = self._record
+        g = record.align_index.get(self._engine.register_hash(label, pc))
+        if g is not None:
+            delta = self._memory_delta(g)
+            if delta is not None:
+                raise ConvergedExit(g, record.tick_steps[g], steps, *delta)
         self._skip = self._gap
         if self._gap < self.MAX_GAP:
             self._gap <<= 1
+
+    def _memory_delta(
+        self, g: int
+    ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """``(delta, escaped)`` at a register match with golden tick ``g``,
+        or None when golden loads a cell of the delta after ``g``."""
+        m = self._machine
+        record = self._record
+        tainted = m._tainted_cells
+        drift = self._engine.memory_hash() ^ record.mem_hashes[g]
+        if not drift and not tainted:
+            return (), ()
+        last_load = record.last_load.get
+        blocker = self._blocker
+        if blocker is not None and last_load(blocker, 0) > g:
+            # Usually the run is still aligned and that cell still
+            # differs: cheaper to confirm than to rebuild the delta.
+            if blocker in tainted:
+                return None
+            ours = m.sb.forward(blocker)
+            if ours is None:
+                ours = m.mem.cells.get(blocker, 0)
+            initial = self._initial.get(blocker, 0)
+            if ours != record.stores.value_at(blocker, g, initial):
+                return None
+        differing = self._differing_cells(g, drift) if drift else []
+        delta = tainted.union(differing)
+        for addr in delta:
+            if last_load(addr, 0) > g:
+                self._blocker = addr
+                return None
+        last_store = record.stores.last_tick
+        escaped = [addr for addr in differing if last_store(addr) <= g]
+        return tuple(sorted(delta)), tuple(sorted(escaped))
+
+    def _differing_cells(self, g: int, drift: int) -> list[int]:
+        """Cells whose effective value differs from golden's at tick ``g``,
+        checked against ``drift``, the XOR of the two memory hashes."""
+        m = self._machine
+        stores = self._record.stores
+        pending: dict[int, int] = {}
+        for entry in m.sb.entries:
+            if not entry.is_checkpoint:
+                pending[entry.addr] = entry.value  # youngest wins
+        after, until = sorted((self._since, g))
+        candidates = set(m._written_cells)
+        candidates.update(
+            pending, self._restored_sb, stores.addresses_between(after, until)
+        )
+        cells_get = m.mem.cells.get
+        initial_get = self._initial.get
+        differing = []
+        for addr in candidates:
+            ours = pending[addr] if addr in pending else cells_get(addr, 0)
+            theirs = stores.value_at(addr, g, initial_get(addr, 0))
+            if ours != theirs:
+                differing.append(addr)
+                drift ^= _cell_hash(addr, ours) ^ _cell_hash(addr, theirs)
+        if drift:
+            raise SnapshotError(
+                f"memory delta at golden tick {g} disagrees with the memory "
+                "hash: a changed cell is missing from the candidate set, or "
+                "the golden record's store history is wrong"
+            )
+        return differing
 
 
 @dataclass
 class GoldenRecord:
     """One fault-free run's acceleration artefacts.
 
-    ``fp_index`` maps each unambiguous per-tick fingerprint to its
-    ``(tick, steps)`` position in the golden run; ``snapshots`` carry
-    delta-encoded machine images at ``snap_times`` (sorted ascending).
+    ``tick_steps`` and ``mem_hashes`` are indexed by golden tick (0 is
+    the initial state): the loop-step count and the effective-memory
+    hash there. ``align_index`` maps each unambiguous register hash to
+    its tick, ``last_load`` each address golden loads to the tick of its
+    last load, and ``stores`` holds every store commit. ``snapshots``
+    carry delta-encoded machine images at ``snap_times`` (ascending).
     """
 
     interval: int | None
     max_steps: int
     total_ticks: int
     total_steps: int
-    fp_index: dict[int, tuple[int, int]] = field(repr=False)
+    align_index: _SortedIntMap = field(repr=False)
+    tick_steps: array = field(repr=False)
+    mem_hashes: array = field(repr=False)
+    last_load: _SortedIntMap = field(repr=False)
+    stores: _StoreHistory = field(repr=False)
     snap_times: list[int] = field(repr=False)
     snapshots: list[MachineSnapshot] = field(repr=False)
 
@@ -409,7 +647,7 @@ def record_golden_run(
     """Execute one fault-free run and capture its acceleration record.
 
     ``interval`` spaces the periodic snapshots in ticks (``None`` or
-    ``<= 0`` records fingerprints only — fast-forward disabled, the
+    ``<= 0`` records hashes only — fast-forward disabled, the
     degenerate configuration the parity suite exercises).  When
     ``golden_image`` (the interpreter reference) is given, the run's
     final data image is checked against it: splicing is only sound if
@@ -421,35 +659,49 @@ def record_golden_run(
                                max_steps=max_steps)
     machine._mem_fp = memory_fingerprint(machine.mem.cells)
     engine = _FingerprintEngine(machine)
-    fp_index: dict[int, tuple[int, int]] = {}
-    ambiguous: set[int] = set()
+    register_hash = engine.register_hash
+    memory_hash = engine.memory_hash
+    vals = machine.regs.vals
+    ops = _memory_ops(compiled.program)
+    reg_hashes = array("Q")
+    tick_steps = array("I", [0])
+    mem_hashes = array("Q", [machine._mem_fp])
+    last_load: dict[int, int] = {}
+    stores: list[tuple[int, int, int]] = []
     snapshots: list[MachineSnapshot] = []
     snap_times: list[int] = []
     prev_cells = dict(machine.mem.cells)
-    cursor = {"last_snap_t": 0, "ticks": 0}
+    last_snap_t = 0
+
+    def access(op: tuple, t: int) -> None:
+        """Log the load or store that commits at tick ``t``."""
+        is_store, base, imm, value = op
+        addr = vals[base] + imm
+        if is_store:
+            stores.append((t, addr, vals[value]))
+        else:
+            last_load[addr] = t
 
     def hook(label: str, pc: int, t: int, steps: int) -> None:
-        cursor["ticks"] = t
-        fp = engine.fingerprint(label, pc, t)
-        if fp in ambiguous:
-            pass
-        elif fp in fp_index:
-            # Two distinct golden ticks share a fingerprint (either a
-            # genuinely revisited state or a 64-bit collision): matching
-            # it could splice the wrong suffix length, so drop it.
-            del fp_index[fp]
-            ambiguous.add(fp)
-        else:
-            fp_index[fp] = (t, steps)
-        if interval is not None and t - cursor["last_snap_t"] >= interval:
+        nonlocal last_snap_t
+        reg_hashes.append(register_hash(label, pc))
+        mem_hashes.append(memory_hash())
+        tick_steps.append(steps)
+        op = ops[label][pc]
+        if op is not None:
+            access(op, t + 1)
+        if interval is not None and t - last_snap_t >= interval:
             snapshots.append(
                 machine.snapshot(label, pc, t, steps, prev_cells=prev_cells)
             )
             snap_times.append(t)
             prev_cells.clear()
             prev_cells.update(machine.mem.cells)
-            cursor["last_snap_t"] = t
+            last_snap_t = t
 
+    op = ops[compiled.program.entry.label][0]
+    if op is not None:
+        access(op, 1)
     machine._on_tick = hook
     stats = machine.run()
     machine._on_tick = None
@@ -458,16 +710,37 @@ def record_golden_run(
             "fault-free resilient run diverged from the interpreter "
             "reference image; refusing to build an acceleration record"
         )
+    # The hook runs once per committed tick except the final RET's, so
+    # tick t's entries sit at index t of the per-tick arrays.
+    total_ticks = len(reg_hashes)
+    if total_ticks != stats.committed - 1:
+        raise SnapshotError(
+            f"golden run committed {stats.committed} ticks but the tick "
+            f"hook saw {total_ticks}; per-tick records would misalign"
+        )
     # Every loop iteration either commits a tick (including the final
     # RET), executes a boundary, or takes a recovery — and a fault-free
     # run never recovers — so the exact step total is:
     total_steps = stats.committed + stats.regions
+    # Keep only register hashes that occur at exactly one tick.
+    by_hash = sorted(zip(reg_hashes, range(1, total_ticks + 1)))
+    last = len(by_hash) - 1
+    unique = [
+        pair
+        for i, pair in enumerate(by_hash)
+        if (i == 0 or by_hash[i - 1][0] != pair[0])
+        and (i == last or by_hash[i + 1][0] != pair[0])
+    ]
     return GoldenRecord(
         interval=interval,
         max_steps=max_steps,
-        total_ticks=cursor["ticks"],
+        total_ticks=total_ticks,
         total_steps=total_steps,
-        fp_index=fp_index,
+        align_index=_SortedIntMap(unique, "Q", "I"),
+        tick_steps=tick_steps,
+        mem_hashes=mem_hashes,
+        last_load=_SortedIntMap(last_load.items(), "q", "I"),
+        stores=_StoreHistory(stores),
         snap_times=snap_times,
         snapshots=snapshots,
     )
@@ -483,13 +756,17 @@ def prepare_accelerated_run(
     the convergence checker.
 
     Must be called *before* ``arm_injection`` (restore overwrites the
-    machine's injection field) and before ``run``.
+    machine's injection field) and before ``run``. ``base_memory`` is
+    the image both the machine and the golden run started from.
     """
     index = record.snapshot_index_before(injection_time)
+    since = 0
     if index is not None:
         snap = record.snapshots[index]
         machine.restore(snap, cells=record.cells_at(index, base_memory.cells))
+        since = snap.t
     if machine._mem_fp is None:
         machine._mem_fp = memory_fingerprint(machine.mem.cells)
-    engine = _FingerprintEngine(machine)
-    machine._on_tick = _ConvergenceChecker(machine, record.fp_index, engine)
+    machine._on_tick = _ConvergenceChecker(
+        machine, record, since, base_memory.cells
+    )

@@ -542,6 +542,10 @@ class ResilientMachine:
         self._mem_fp: int | None = None
         self._on_tick: Callable[[str, int, int, int], None] | None = None
         self._resume: tuple[str, int, int, int] | None = None
+        # Every address written while the fingerprint is maintained, since
+        # construction or the last restore(): the cells whose value can
+        # have moved away from the restored image (delta convergence).
+        self._written_cells: set[int] = set()
 
         self._init_registers()
 
@@ -602,9 +606,9 @@ class ResilientMachine:
     )
     # Static configuration and harness plumbing: identical across the
     # runs a snapshot may move between, so capturing it would be wasted
-    # bytes (and _on_tick/_resume are per-run, not machine state;
-    # _next_due is derived from rbb + _detection_due and recomputed on
-    # restore).
+    # bytes (and _on_tick/_resume/_written_cells are per-run, not machine
+    # state; _next_due is derived from rbb + _detection_due and
+    # recomputed on restore).
     _SNAPSHOT_EXCLUDED = frozenset(
         {
             "compiled",
@@ -616,6 +620,7 @@ class ResilientMachine:
             "_on_tick",
             "_resume",
             "_next_due",
+            "_written_cells",
         }
     )
 
@@ -727,6 +732,7 @@ class ResilientMachine:
         self._mem_flips = dict(snap.mem_flips)
         self._now = snap.now
         self._resume = (snap.label, snap.pc, snap.t, snap.steps)
+        self._written_cells = set()
         self._update_next_due()
 
     # -- main loop -----------------------------------------------------------
@@ -1031,8 +1037,8 @@ class ResilientMachine:
 
     def _mem_write(self, addr: int, value: int) -> None:
         """Every memory write funnels through here so the incremental
-        fingerprint (maintained only while acceleration is active) stays
-        in sync with the cells."""
+        fingerprint and the written-cell set (both maintained only while
+        acceleration is active) stay in sync with the cells."""
         fp = self._mem_fp
         if fp is None:
             self.mem.store(addr, value)
@@ -1042,6 +1048,7 @@ class ResilientMachine:
         new = wrap32(value)
         cells[addr] = new
         self._mem_fp = fp ^ _cell_hash(addr, old) ^ _cell_hash(addr, new)
+        self._written_cells.add(addr)
 
     def _store_word(self, addr: int, value: int) -> None:
         """Memory write; overwriting a struck word clears its syndrome."""

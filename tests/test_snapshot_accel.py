@@ -9,10 +9,15 @@ parity sweep this file audits the machinery itself: the snapshot field
 audit fails loudly on unknown machine state, restore reproduces the
 machine exactly (full-state canonical equality, not merely observable
 equality), the timeout splice reproduces the watchdog's exact behaviour,
-and golden records round-trip through the persistent artifact cache.
+the recorder's memory traffic matches the interpreter's, delta exits
+wait for every differing cell golden reads again and refuse a store
+history that disagrees with the memory hashes, and golden records
+round-trip through the persistent artifact cache.
 """
 
 from __future__ import annotations
+
+import copy
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -23,6 +28,7 @@ from repro.compiler.pipeline import compile_program
 from repro.faults.campaign import VARIANT_CONFIGS, _horizon
 from repro.faults.injector import (
     DEFAULT_TARGET_MIX,
+    FaultOutcomeKind,
     golden_memory,
     injection_for_index,
     outcome_to_dict,
@@ -36,7 +42,12 @@ from repro.faults.snapshot import (
     record_golden_run,
 )
 from repro.harness.artifacts import ArtifactCache
+from repro.isa.builder import ProgramBuilder
+from repro.isa.program import Program
+from repro.runtime import trace as tr
+from repro.runtime.interpreter import execute
 from repro.runtime.machine import (
+    InjectionTarget,
     ResilientMachine,
     SnapshotError,
     WatchdogTimeout,
@@ -44,15 +55,86 @@ from repro.runtime.machine import (
 )
 from repro.runtime.memory import Memory
 
+ARRAY = 0x400
+TRIP = 16
 
-@pytest.fixture(scope="module")
-def ctx():
-    """Compiled sum-loop + golden image shared by the whole module."""
-    compiled = compile_program(build_sum_loop(), turnpike_config())
+
+def build_rewrite(reread: bool = False) -> Program:
+    """Loop ``fill`` stores i*i to a[i]; loop ``refill`` overwrites a[i]
+    with i+7. With ``reread``, loop ``sum`` then loads every a[i] back
+    and stores the total just past the array.
+
+    Under ``unsafe`` a bad recovery skips or repeats an iteration while
+    the only loop-carried register realigns, so memory differs from
+    golden's at an aligned tick: the shape delta convergence splices.
+    """
+    b = ProgramBuilder("rewrite")
+    b.begin_block("entry")
+    i = b.li(0)
+    limit = b.li(TRIP)
+    base = b.li(ARRAY)
+    b.jmp("fill")
+    b.begin_block("fill")
+    b.store(b.mul(i, i), b.add(base, b.shli(i, 2)))
+    b.addi(i, 1, dest=i)
+    b.blt(i, limit, "fill", "between")
+    b.begin_block("between")
+    b.li(0, dest=i)
+    b.jmp("refill")
+    b.begin_block("refill")
+    b.store(b.addi(i, 7), b.add(base, b.shli(i, 2)))
+    b.addi(i, 1, dest=i)
+    b.blt(i, limit, "refill", "after")
+    b.begin_block("after")
+    if reread:
+        total = b.li(0)
+        b.li(0, dest=i)
+        b.jmp("sum")
+        b.begin_block("sum")
+        b.add(total, b.load(b.add(base, b.shli(i, 2))), dest=total)
+        b.addi(i, 1, dest=i)
+        b.blt(i, limit, "sum", "done")
+        b.begin_block("done")
+        b.store(total, base, offset=4 * TRIP)
+    b.ret()
+    return b.finish()
+
+
+def _context(program: Program):
+    compiled = compile_program(program, turnpike_config())
     memory = Memory()
     golden = golden_memory(compiled, memory)
     horizon = _horizon(compiled, memory)
     return compiled, memory, golden, horizon
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    """Compiled sum-loop + golden image shared by the whole module."""
+    return _context(build_sum_loop())
+
+
+@pytest.fixture(scope="module")
+def rewrite_ctx():
+    """The fill/refill program, whose ``unsafe`` runs delta-exit."""
+    return _context(build_rewrite())
+
+
+@pytest.fixture
+def exits(monkeypatch):
+    """Every ConvergedExit a machine run raises during the test."""
+    seen: list[ConvergedExit] = []
+    run = ResilientMachine.run
+
+    def recording_run(self):
+        try:
+            return run(self)
+        except ConvergedExit as exc:
+            seen.append(exc)
+            raise
+
+    monkeypatch.setattr(ResilientMachine, "run", recording_run)
+    return seen
 
 
 def _turnpike(wcdl: int = 10):
@@ -66,13 +148,64 @@ class TestGoldenRecord:
             compiled, _turnpike(), memory, interval=16, golden_image=golden
         )
         assert rec.total_ticks > 0
-        assert len(rec.fp_index) > 0
+        assert len(rec.align_index) > 0
+        assert len(rec.tick_steps) == len(rec.mem_hashes) == rec.total_ticks + 1
         assert rec.snap_times == sorted(rec.snap_times)
         assert len(rec.snap_times) == len(rec.snapshots)
-        # Every fingerprint maps into the run's tick/step span.
-        for tick, steps in rec.fp_index.values():
+        # Every aligned tick lies in the run's tick/step span.
+        for tick in rec.align_index.values:
             assert 0 < tick <= rec.total_ticks
-            assert 0 < steps <= rec.total_steps
+            assert 0 < rec.tick_steps[tick] <= rec.total_steps
+
+    @pytest.mark.parametrize("reread", [False, True])
+    def test_memory_traffic_matches_interpreter_trace(self, reread):
+        """The recorder reads each access off the registers before it
+        commits; the interpreter's trace is an independent account of
+        the same addresses at the same ticks."""
+        compiled, memory, golden, _ = _context(build_rewrite(reread))
+        rec = record_golden_run(
+            compiled, _turnpike(), memory, interval=16, golden_image=golden
+        )
+        trace = execute(
+            compiled.program, memory.copy(), collect_trace=True
+        ).trace
+        last_load: dict[int, int] = {}
+        stores: list[tuple[int, int]] = []
+        tick = 0
+        for entry in trace:
+            if entry[0] == tr.K_BOUNDARY:
+                continue
+            tick += 1
+            if entry[0] == tr.K_LD:
+                last_load[entry[4]] = tick
+            elif entry[0] == tr.K_ST:
+                stores.append((tick, entry[4]))
+        assert len(last_load) >= (TRIP if reread else 0)
+        assert len(rec.last_load) == len(last_load)
+        for addr, tick in last_load.items():
+            assert rec.last_load.get(addr) == tick
+        assert list(zip(rec.stores.ticks, rec.stores.addrs)) == stores
+
+    def test_store_history_matches_memory_hashes(self, rewrite_ctx):
+        """Golden's effective image rebuilt from the store history hashes
+        to the recorded memory hash at every tick, and ends as the
+        interpreter's image."""
+        compiled, memory, golden, _ = rewrite_ctx
+        rec = record_golden_run(
+            compiled, _turnpike(), memory, interval=16, golden_image=golden
+        )
+        addrs = set(memory.cells) | set(rec.stores.addrs)
+        for tick in range(rec.total_ticks + 1):
+            image = {
+                addr: rec.stores.value_at(addr, tick, memory.load(addr))
+                for addr in addrs
+            }
+            assert memory_fingerprint(image) == rec.mem_hashes[tick]
+        final = {
+            addr: rec.stores.value_at(addr, rec.total_ticks + 1, 0)
+            for addr in addrs
+        }
+        assert {a: v for a, v in final.items() if v} == golden
 
     def test_total_steps_is_exact(self, ctx):
         """The splice arithmetic hinges on total_steps being the precise
@@ -192,8 +325,9 @@ class TestConvergence:
                 break
         assert raised is not None, "no injection converged in 40 tries"
         assert raised.golden_tick <= rec.total_ticks
+        assert raised.golden_steps == rec.tick_steps[raised.golden_tick]
         assert raised.golden_steps <= rec.total_steps
-        assert rec.fp_index  # the match came out of this index
+        assert raised.golden_tick in rec.align_index.values
 
     def test_timeout_splice_matches_watchdog(self, ctx):
         """With a step budget squeezed between the injection point and
@@ -224,30 +358,181 @@ class TestConvergence:
                 assert outcome_to_dict(acc) == outcome_to_dict(ref)
 
 
+    @pytest.mark.parametrize("index", [206, 248])
+    def test_no_splice_before_latent_colour_parity_trips(self, ctx, index):
+        """A COLORING strike leaves the maps' parity bad until their next
+        access trips it and forces a second recovery. The guard must
+        hold the splice until then: the golden suffix has no recovery."""
+        compiled, memory, golden, horizon = ctx
+        config = _turnpike()
+        rec = record_golden_run(
+            compiled, config, memory, interval=16, golden_image=golden
+        )
+        injection = injection_for_index(
+            compiled, 10, 1234, index, horizon, DEFAULT_TARGET_MIX
+        )
+        assert injection.target is InjectionTarget.COLORING
+        reference = ResilientMachine(compiled, config, memory.copy())
+        reference.arm_injection(injection)
+        ref_stats = reference.run()
+        assert ref_stats.structure_parity_trips == 1
+        machine = ResilientMachine(compiled, config, memory.copy())
+        prepare_accelerated_run(machine, rec, injection.time, memory)
+        machine.arm_injection(injection)
+        with pytest.raises(ConvergedExit):
+            machine.run()
+        assert machine.coloring.poisoned
+        assert machine.stats.structure_parity_trips == 1
+        assert machine.stats.recoveries == ref_stats.recoveries
+        ref = run_with_injection(compiled, config, memory, injection, golden)
+        acc = run_with_injection(
+            compiled, config, memory, injection, golden, accel=rec
+        )
+        assert outcome_to_dict(acc) == outcome_to_dict(ref)
+
+
+class TestDeltaConvergence:
+    """Splicing while memory still differs from golden's."""
+
+    @staticmethod
+    def _corrupted_run(program: Program, addr: int, value: int):
+        """Run ``program`` fault-free, except that ``addr`` holds ``value``
+        from the start; return the exit raised and the golden record."""
+        compiled, memory, golden, _ = _context(program)
+        config = _turnpike()
+        rec = record_golden_run(
+            compiled, config, memory, interval=0, golden_image=golden
+        )
+        machine = ResilientMachine(compiled, config, memory.copy())
+        prepare_accelerated_run(machine, rec, 1, memory)
+        machine._mem_write(addr, value)
+        with pytest.raises(ConvergedExit) as raised:
+            machine.run()
+        return raised.value, rec
+
+    @staticmethod
+    def _store_ticks(rec: GoldenRecord, addr: int) -> list[int]:
+        return [t for t, a in zip(rec.stores.ticks, rec.stores.addrs) if a == addr]
+
+    def test_reloaded_cell_blocks_exit_until_golden_overwrites_it(self):
+        cell = ARRAY + 4 * 3
+        exc, rec = self._corrupted_run(build_rewrite(reread=True), cell, 12345)
+        first_store = self._store_ticks(rec, cell)[0]
+        assert rec.last_load.get(cell) > first_store
+        # Aligned from tick 1 on, but golden reads the cell back later.
+        assert exc.golden_tick >= first_store
+        assert exc.delta == () and exc.escaped == ()
+
+    def test_restored_cell_splices_although_memory_differs(self):
+        cell = ARRAY + 4 * 3
+        exc, rec = self._corrupted_run(build_rewrite(), cell, 12345)
+        assert rec.last_load.get(cell) is None
+        assert exc.golden_tick < self._store_ticks(rec, cell)[0]
+        assert exc.delta == (cell,)
+        assert exc.escaped == ()  # golden stores to it again
+
+    def test_unsafe_delta_exits_classify_like_full_runs(
+        self, rewrite_ctx, exits
+    ):
+        """Real strikes: delta exits yield ``sdc`` when a differing cell
+        escapes and ``recovered`` when golden stores over all of them,
+        each equal to the from-scratch outcome."""
+        compiled, memory, golden, horizon = rewrite_ctx
+        config = VARIANT_CONFIGS["unsafe"](10)
+        rec = record_golden_run(
+            compiled, config, memory, interval=16, golden_image=golden
+        )
+        seen = set()
+        for index in range(60):
+            injection = injection_for_index(
+                compiled, 10, 1234, index, horizon, DEFAULT_TARGET_MIX
+            )
+            ref = run_with_injection(compiled, config, memory, injection, golden)
+            exits.clear()
+            acc = run_with_injection(
+                compiled, config, memory, injection, golden, accel=rec
+            )
+            assert outcome_to_dict(acc) == outcome_to_dict(ref)
+            if exits and exits[0].delta:
+                seen.add((bool(exits[0].escaped), acc.kind))
+        assert seen == {
+            (True, FaultOutcomeKind.SDC),
+            (False, FaultOutcomeKind.RECOVERED),
+        }
+
+    def test_doctored_store_history_is_a_protocol_bug(
+        self, rewrite_ctx, exits
+    ):
+        """One altered store-history value makes the delta disagree with
+        the memory hashes: the run fails loudly instead of splicing."""
+        compiled, memory, golden, horizon = rewrite_ctx
+        config = VARIANT_CONFIGS["unsafe"](10)
+        rec = record_golden_run(
+            compiled, config, memory, interval=0, golden_image=golden
+        )
+        for index in range(60):
+            injection = injection_for_index(
+                compiled, 10, 1234, index, horizon, DEFAULT_TARGET_MIX
+            )
+            exits.clear()
+            run_with_injection(
+                compiled, config, memory, injection, golden, accel=rec
+            )
+            if exits and exits[0].escaped:
+                exc = exits[0]
+                break
+        else:
+            pytest.fail("no unsafe run escaped a corrupted cell")
+        # Golden's latest store before the exit holds its cell's value there.
+        stores = rec.stores
+        latest = max(
+            range(len(stores)),
+            key=lambda j: (stores.cell_ticks[j] <= exc.golden_tick,
+                           stores.cell_ticks[j]),
+        )
+        doctored = copy.deepcopy(rec)
+        doctored.stores.cell_values[latest] ^= 0x5A5A
+        ref = run_with_injection(compiled, config, memory, injection, golden)
+        assert ref.kind is FaultOutcomeKind.SDC
+        bad = run_with_injection(
+            compiled, config, memory, injection, golden, accel=doctored
+        )
+        assert bad.kind is FaultOutcomeKind.PROTOCOL_BUG
+        assert bad.error.startswith("SnapshotError: memory delta")
+
+
 class TestParity:
     """The headline guarantee, exhaustively: accelerated == from-scratch."""
 
     @pytest.mark.parametrize("variant", sorted(VARIANT_CONFIGS))
-    def test_all_targets_all_variants(self, ctx, variant):
-        compiled, memory, golden, horizon = ctx
-        config = VARIANT_CONFIGS[variant](10)
-        rec = record_golden_run(
-            compiled, config, memory, interval=16, golden_image=golden
-        )
-        for index in range(35):  # covers every target in the 7-mix
-            injection = injection_for_index(
-                compiled, 10, 1234, index, horizon, DEFAULT_TARGET_MIX
+    def test_all_targets_all_variants(self, ctx, rewrite_ctx, variant, exits):
+        for compiled, memory, golden, horizon in (ctx, rewrite_ctx):
+            config = VARIANT_CONFIGS[variant](10)
+            rec = record_golden_run(
+                compiled, config, memory, interval=16, golden_image=golden
             )
-            ref = run_with_injection(
-                compiled, config, memory, injection, golden
-            )
-            acc = run_with_injection(
-                compiled, config, memory, injection, golden, accel=rec
-            )
-            assert outcome_to_dict(acc) == outcome_to_dict(ref), (
-                f"accel diverged: variant={variant} index={index} "
-                f"target={injection.target.value}"
-            )
+            for index in range(35):  # covers every target in the 7-mix
+                injection = injection_for_index(
+                    compiled, 10, 1234, index, horizon, DEFAULT_TARGET_MIX
+                )
+                ref = run_with_injection(
+                    compiled, config, memory, injection, golden
+                )
+                acc = run_with_injection(
+                    compiled, config, memory, injection, golden, accel=rec
+                )
+                assert outcome_to_dict(acc) == outcome_to_dict(ref), (
+                    f"accel diverged: program={compiled.program.name} "
+                    f"variant={variant} index={index} "
+                    f"target={injection.target.value}"
+                )
+        if variant == "unsafe":
+            # Not vacuous: some splices happened while memory differed,
+            # and some of those finished as silent corruptions.
+            assert any(exc.delta for exc in exits)
+            assert any(exc.escaped for exc in exits)
+        else:
+            assert not any(exc.escaped for exc in exits)
 
     @settings(
         max_examples=25,
@@ -286,6 +571,35 @@ class TestParity:
         )
         assert outcome_to_dict(acc) == outcome_to_dict(ref)
 
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        variant=st.sampled_from(sorted(VARIANT_CONFIGS)),
+        reread=st.booleans(),
+        interval=st.sampled_from([1, 7, 0]),
+        index=st.integers(min_value=0, max_value=400),
+        wcdl=st.sampled_from([4, 10]),
+    )
+    def test_random_delta_programs(self, variant, reread, interval, index, wcdl):
+        """The same sweep over the fill/refill(/sum) programs, where
+        ``unsafe`` and tainted-cell runs take delta exits."""
+        compiled, memory, golden, horizon = _context(build_rewrite(reread))
+        config = VARIANT_CONFIGS[variant](wcdl)
+        rec = record_golden_run(
+            compiled, config, memory, interval=interval, golden_image=golden
+        )
+        injection = injection_for_index(
+            compiled, wcdl, 99, index, horizon, DEFAULT_TARGET_MIX
+        )
+        ref = run_with_injection(compiled, config, memory, injection, golden)
+        acc = run_with_injection(
+            compiled, config, memory, injection, golden, accel=rec
+        )
+        assert outcome_to_dict(acc) == outcome_to_dict(ref)
+
 
 class TestArtifactCache:
     def test_golden_record_round_trips(self, ctx, tmp_path):
@@ -300,7 +614,12 @@ class TestArtifactCache:
         cache.store_golden(key, rec)
         loaded = cache.load_golden(key)
         assert isinstance(loaded, GoldenRecord)
-        assert loaded.fp_index == rec.fp_index
+        assert loaded.align_index.keys == rec.align_index.keys
+        assert loaded.align_index.values == rec.align_index.values
+        assert loaded.tick_steps == rec.tick_steps
+        assert loaded.mem_hashes == rec.mem_hashes
+        assert loaded.last_load.keys == rec.last_load.keys
+        assert loaded.stores.cell_values == rec.stores.cell_values
         assert loaded.snap_times == rec.snap_times
         assert loaded.total_steps == rec.total_steps
         assert [s.mem_delta for s in loaded.snapshots] == [

@@ -12,6 +12,12 @@ The session cache is backed by the persistent on-disk artifact cache
 second figure sweep starts warm. Set ``REPRO_BENCH_WORKERS=N`` (0 = one
 per CPU) to pre-warm the common benchmark x scheme matrix across N
 processes before the figure modules run.
+
+The rendered tables are buffered and written to ``figures_output.txt``
+only by a session that ran every module here on the full suite, with
+nothing deselected, and passed every test it collected. Any partial
+session (one module, ``-k``, ``REPRO_BENCH_SUBSET=quick``, a failure)
+leaves the committed file untouched.
 """
 
 from __future__ import annotations
@@ -24,7 +30,10 @@ import pytest
 from repro.harness.runner import RunCache, default_benchmarks, warm_suite
 from repro.workloads.suites import quick_subset
 
-FIGURES_PATH = Path(__file__).resolve().parent / "figures_output.txt"
+HERE = Path(__file__).resolve().parent
+FIGURES_PATH = HERE / "figures_output.txt"
+_SECTIONS: list[str] = []
+_SESSION = {"deselected": False, "modules": set(), "collected": 0, "passed": 0}
 
 
 @pytest.fixture(scope="session")
@@ -52,18 +61,37 @@ def bench_set() -> list[str]:
     return default_benchmarks()
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _fresh_figures_file():
-    """Start each benchmark session with an empty figures log."""
-    FIGURES_PATH.write_text("")
-    yield
+def pytest_deselected(items):
+    _SESSION["deselected"] = True
+
+
+def pytest_collection_finish(session):
+    _SESSION["collected"] = len(session.items)
+    _SESSION["modules"] = {item.path for item in session.items}
+
+
+def pytest_runtest_logreport(report):
+    if report.when == "call" and report.passed:
+        _SESSION["passed"] += 1
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Write the buffered figures only after a complete full-suite run."""
+    complete = (
+        exitstatus == 0
+        and "REPRO_BENCH_SUBSET" not in os.environ
+        and not _SESSION["deselected"]
+        and set(HERE.glob("test_*.py")) <= _SESSION["modules"]
+        and _SESSION["passed"] == _SESSION["collected"]
+    )
+    if complete:
+        FIGURES_PATH.write_text("".join(_SECTIONS))
 
 
 def emit(title: str, text: str) -> None:
-    """Print a figure's table (visible with -s) and append it to
-    ``benchmarks/figures_output.txt`` so the regenerated figures survive
+    """Print a figure's table (visible with -s) and buffer it for
+    ``benchmarks/figures_output.txt``, so the regenerated figures survive
     pytest's output capture."""
     rendered = f"\n### {title}\n{text}\n"
     print(rendered, end="")
-    with FIGURES_PATH.open("a") as fh:
-        fh.write(rendered)
+    _SECTIONS.append(rendered)

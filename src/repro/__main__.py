@@ -646,15 +646,14 @@ def _cmd_cache(args) -> int:
                 info["entries"] = entries
             print(_json.dumps(info, indent=2, sort_keys=True))
             return 0
-        from repro.harness.artifacts import human_size
+        from repro.harness.artifacts import human_size, plural
 
         by_kind = info["bytes_by_kind"]
-        print(f"location:  {info['root']}")
-        print(
-            f"artifacts: {info['artifacts']} "
-            f"({info['traces']} traces, {info['stats']} stats, "
-            f"{info['goldens']} goldens, {info['codegens']} codegens)"
+        counts = ", ".join(
+            f"{info[plural(kind)]} {plural(kind)}" for kind in cache.KINDS
         )
+        print(f"location:  {info['root']}")
+        print(f"artifacts: {info['artifacts']} ({counts})")
         for kind, size in by_kind.items():
             print(f"  {kind + ':':<9} {human_size(size)}")
         print(f"code hash: {info['code_digest']}")

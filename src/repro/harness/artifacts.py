@@ -7,7 +7,7 @@ code*. This module keys every artifact by a digest of the whole
 so a warm cache can never serve results produced by different simulator
 semantics: touching any ``src/repro`` file invalidates everything.
 
-Three artifact kinds are stored:
+Six artifact kinds are stored (:attr:`ArtifactCache.KINDS`):
 
 * ``trace-<key>.pkl`` — the dynamic trace of one (uid, compiler-config)
   pair, as pickled tuples. Branch-id fields inside a trace come from the
@@ -18,6 +18,10 @@ Three artifact kinds are stored:
   cached trace are therefore identical to those from a fresh one.
 * ``stats-<key>.json`` — a finished :class:`~repro.arch.stats.SimStats`
   for one (uid, compiler, hardware, core) combination.
+* ``facts-<key>.json`` — the :class:`ProgramFacts` of one (uid,
+  compiler-config) pair: the code size and the committed stream's
+  instruction, checkpoint and store tallies that Figures 4, 23 and 26
+  read, so a warm figure pass neither compiles nor loads a trace.
 * ``golden-<key>.pkl`` — a fault-free
   :class:`~repro.faults.snapshot.GoldenRecord` (periodic machine
   snapshots plus the per-tick fingerprint stream) for one (uid,
@@ -53,12 +57,14 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
+from typing import TypeVar
 
 from repro.arch.config import CoreConfig, ResilienceHardwareConfig
 from repro.arch.stats import SimStats
 from repro.compiler.config import CompilerConfig
 
 _FORMAT_VERSION = 1
+_R = TypeVar("_R")
 _code_digest: str | None = None
 
 
@@ -88,6 +94,23 @@ def sync_generation() -> int:
     return cache.sync_generation() if cache is not None else 0
 
 
+@dataclasses.dataclass(frozen=True)
+class ProgramFacts:
+    """What the compiler-side figures read about one compiled program.
+
+    ``code_size_bytes`` is the static size (Figure 26's code growth);
+    the rest are :class:`~repro.runtime.trace.TraceSummary` tallies of
+    the committed stream (Figure 4's checkpoint ratio, Figure 23's store
+    differencing).
+    """
+
+    code_size_bytes: int
+    committed: int
+    checkpoints: int
+    spill_stores: int
+    all_stores: int
+
+
 def _key(*parts: object) -> str:
     text = "|".join([code_digest(), *[repr(p) for p in parts]])
     return hashlib.sha256(text.encode()).hexdigest()[:40]
@@ -103,8 +126,18 @@ def human_size(n: int) -> str:
     raise AssertionError("unreachable")
 
 
+def plural(kind: str) -> str:
+    """The ``info()`` key counting one artifact kind."""
+    return kind if kind.endswith("s") else f"{kind}s"
+
+
 class ArtifactCache:
     """File-per-artifact cache under one root directory."""
+
+    #: Every artifact kind, named by its file prefix (``<kind>-<key>``).
+    #: Maintenance (``clear``, ``sync_generation``) and ``info`` counts
+    #: cover exactly these.
+    KINDS = ("trace", "stats", "facts", "golden", "vuln", "codegen")
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root).expanduser()
@@ -140,6 +173,10 @@ class ArtifactCache:
         core: CoreConfig,
     ) -> str:
         return _key("stats", uid, compiler, hardware, core)
+
+    @staticmethod
+    def facts_key(uid: str, compiler: CompilerConfig) -> str:
+        return _key("facts", uid, compiler)
 
     @staticmethod
     def sweep_key(
@@ -235,21 +272,29 @@ class ArtifactCache:
         data = pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL)
         self._write_atomic(self.root / f"trace-{key}.pkl", data)
 
-    def load_stats(self, key: str) -> SimStats | None:
-        path = self.root / f"stats-{key}.json"
+    def _load_record(self, path: Path, cls: type[_R]) -> _R | None:
+        """A JSON-stored dataclass, or None on any miss or corruption."""
         try:
             with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        try:
-            return SimStats(**data)
-        except TypeError:
+                return cls(**json.load(fh))
+        except (OSError, ValueError, TypeError):
             return None
 
+    def _store_record(self, path: Path, record: SimStats | ProgramFacts) -> None:
+        data = json.dumps(dataclasses.asdict(record), sort_keys=True)
+        self._write_atomic(path, data.encode())
+
+    def load_stats(self, key: str) -> SimStats | None:
+        return self._load_record(self.root / f"stats-{key}.json", SimStats)
+
     def store_stats(self, key: str, stats: SimStats) -> None:
-        data = json.dumps(dataclasses.asdict(stats), sort_keys=True)
-        self._write_atomic(self.root / f"stats-{key}.json", data.encode())
+        self._store_record(self.root / f"stats-{key}.json", stats)
+
+    def load_facts(self, key: str) -> ProgramFacts | None:
+        return self._load_record(self.root / f"facts-{key}.json", ProgramFacts)
+
+    def store_facts(self, key: str, facts: ProgramFacts) -> None:
+        self._store_record(self.root / f"facts-{key}.json", facts)
 
     def load_golden(self, key: str):
         """Load a pickled :class:`GoldenRecord`, or None on any miss.
@@ -308,12 +353,9 @@ class ArtifactCache:
     # -- maintenance -------------------------------------------------------
 
     def artifact_paths(self) -> list[Path]:
+        prefixes = tuple(f"{kind}-" for kind in self.KINDS)
         return sorted(
-            p
-            for p in self.root.iterdir()
-            if p.name.startswith(
-                ("trace-", "stats-", "golden-", "vuln-", "codegen-")
-            )
+            p for p in self.root.iterdir() if p.name.startswith(prefixes)
         )
 
     def entries(self) -> list[tuple[str, str, int]]:
@@ -375,16 +417,15 @@ class ArtifactCache:
         return removed
 
     def info(self) -> dict[str, object]:
-        """Summary dict for ``repro cache info``."""
-        paths = self.artifact_paths()
-        traces = sum(1 for p in paths if p.name.startswith("trace-"))
-        goldens = sum(1 for p in paths if p.name.startswith("golden-"))
-        vulns = sum(1 for p in paths if p.name.startswith("vuln-"))
-        codegens = sum(1 for p in paths if p.name.startswith("codegen-"))
+        """Summary dict for ``repro cache info``: one count per kind,
+        under the kind's plural (``traces``, ``stats``, ``facts``, ...)."""
+        counts = dict.fromkeys(self.KINDS, 0)
         bytes_by_kind: dict[str, int] = {}
         total = 0
+        paths = self.artifact_paths()
         for path in paths:
             kind = path.name.partition("-")[0]
+            counts[kind] += 1
             try:
                 size = path.stat().st_size
             except OSError:
@@ -394,11 +435,7 @@ class ArtifactCache:
         return {
             "root": str(self.root),
             "artifacts": len(paths),
-            "traces": traces,
-            "stats": len(paths) - traces - goldens - vulns - codegens,
-            "goldens": goldens,
-            "vulns": vulns,
-            "codegens": codegens,
+            **{plural(kind): n for kind, n in counts.items()},
             "bytes": total,
             "bytes_by_kind": dict(sorted(bytes_by_kind.items())),
             "code_digest": code_digest()[:16],

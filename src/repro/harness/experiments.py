@@ -69,13 +69,6 @@ def _baseline_pair() -> SchemePair:
     return (_baseline_config(), ResilienceHardwareConfig.baseline())
 
 
-def _prepared(cache: RunCache, uid: str, config: CompilerConfig):
-    """Functional products, shared across digest-equal configs."""
-    return cache.prepared_by_digest(
-        uid, config, cache.program_digest(uid, config)
-    )
-
-
 def _evaluate(
     uids: list[str],
     pairs: list[SchemePair],
@@ -128,8 +121,8 @@ def fig04_checkpoint_ratio(
     for sb in sb_sizes:
         series = Series(name=f"{sb}-entry SB")
         for uid in uids:
-            summary = _prepared(cache, uid, turnstile_config(sb_size=sb)).summary
-            series.per_benchmark[uid] = summary.checkpoints / summary.committed
+            facts = cache.program_facts(uid, turnstile_config(sb_size=sb))
+            series.per_benchmark[uid] = facts.checkpoints / facts.committed
         out[sb] = series
     return out
 
@@ -401,11 +394,11 @@ def fig23_store_breakdown(
 
     out: dict[str, dict[str, float]] = {}
     for uid in uids:
-        s0 = _prepared(cache, uid, base_cfg).summary
-        s1 = _prepared(cache, uid, pruning_cfg).summary
-        s2 = _prepared(cache, uid, licm_cfg).summary
-        s3 = _prepared(cache, uid, ra_cfg).summary
-        s4 = _prepared(cache, uid, full_cfg).summary
+        s0 = cache.program_facts(uid, base_cfg)
+        s1 = cache.program_facts(uid, pruning_cfg)
+        s2 = cache.program_facts(uid, licm_cfg)
+        s3 = cache.program_facts(uid, ra_cfg)
+        s4 = cache.program_facts(uid, full_cfg)
         total = max(1, s0.all_stores)
         pruned = max(0, s0.checkpoints - s1.checkpoints)
         licm = max(0, s1.checkpoints - s2.checkpoints)
@@ -527,17 +520,13 @@ def fig26_region_codesize(
     cache = _resolve_cache(cache)
     uids = _sorted_uids(benchmarks)
     pair = _fig26_pair(wcdl)
-    compiler = pair[0]
     result = _evaluate(uids, [pair], cache, workers, normalize=False)
     out: dict[str, tuple[float, float]] = {}
     for uid in uids:
         stats = result[DesignPoint(uid, *pair)]
-        run = _prepared(cache, uid, compiler)
-        base = cache.baseline(uid)
-        growth = (
-            run.compiled.code_size_bytes - base.compiled.code_size_bytes
-        ) / base.compiled.code_size_bytes
-        out[uid] = (stats.dynamic_region_size, growth)
+        size = cache.program_facts(uid, pair[0]).code_size_bytes
+        base = cache.program_facts(uid, _baseline_config()).code_size_bytes
+        out[uid] = (stats.dynamic_region_size, (size - base) / base)
     return out
 
 
@@ -600,17 +589,6 @@ def suite_pairs(
             seen.add(pair)
             uniq.append(pair)
     return uniq
-
-
-def suite_summary_configs(
-    sb_sizes: tuple[int, int] = (40, 4),
-) -> list[CompilerConfig]:
-    """Functional-only configs the suite needs beyond the timing lattice
-    (Figure 4 checkpoint ratios, Figure 23 differencing stages)."""
-    return [
-        *(turnstile_config(sb_size=sb) for sb in sb_sizes),
-        *_fig23_configs()[:4],
-    ]
 
 
 def figure_suite(

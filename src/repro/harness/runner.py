@@ -41,7 +41,7 @@ from repro.arch.core import InOrderCore
 from repro.arch.stats import SimStats
 from repro.compiler.config import CompilerConfig, turnpike_config, turnstile_config
 from repro.compiler.pipeline import CompiledProgram, compile_baseline, compile_program
-from repro.harness.artifacts import ArtifactCache
+from repro.harness.artifacts import ArtifactCache, ProgramFacts
 from repro.runtime.fastsim import execute_fast
 from repro.runtime.interpreter import execute
 from repro.runtime.trace import TraceSummary
@@ -96,55 +96,19 @@ def _baseline_config() -> CompilerConfig:
 
 
 class PreparedRun:
-    """Everything needed to simulate one (benchmark, compile-config) pair.
+    """The committed stream of one (benchmark, compile-config) pair."""
 
-    The trace is always materialised; the workload and compiled program
-    are rebuilt lazily, so a run served from the persistent trace cache
-    never pays compiler time unless a caller actually asks for
-    ``.compiled`` (e.g. the code-size study).
-    """
+    __slots__ = ("uid", "config", "trace")
 
-    __slots__ = ("uid", "config", "trace", "_workload", "_compiled", "_summary")
-
-    def __init__(
-        self,
-        uid: str,
-        config: CompilerConfig,
-        trace: list[tuple],
-        workload: Workload | None = None,
-        compiled: CompiledProgram | None = None,
-    ) -> None:
+    def __init__(self, uid: str, config: CompilerConfig, trace: list[tuple]) -> None:
         self.uid = uid
         self.config = config
         self.trace = trace
-        self._workload = workload
-        self._compiled = compiled
-        self._summary: TraceSummary | None = None
-
-    @property
-    def workload(self) -> Workload:
-        if self._workload is None:
-            self._workload = build_workload(lookup_profile(self.uid))
-        return self._workload
-
-    @property
-    def compiled(self) -> CompiledProgram:
-        if self._compiled is None:
-            if self.config.name == "baseline":
-                self._compiled = compile_baseline(self.workload.program)
-            else:
-                self._compiled = compile_program(self.workload.program, self.config)
-        return self._compiled
-
-    @property
-    def summary(self) -> TraceSummary:
-        if self._summary is None:
-            self._summary = TraceSummary(self.trace)
-        return self._summary
 
 
 class RunCache:
-    """Process-wide memoisation of workloads, compiles, traces, stats.
+    """Process-wide memoisation of workloads, compiles, traces, stats
+    and program facts.
 
     Thread-safe: all dictionary access is serialised through one
     re-entrant lock, so ``prepared()`` from several threads and a
@@ -177,6 +141,7 @@ class RunCache:
         # that compile to an identical program produce an identical
         # committed stream, so one functional run serves them all.
         self._digest_runs: dict[tuple[str, str], PreparedRun] = {}
+        self._facts: dict[tuple[str, CompilerConfig], ProgramFacts] = {}
 
     def workload(self, uid: str) -> Workload:
         with self._lock:
@@ -206,18 +171,13 @@ class RunCache:
                 compiled.program, workload.fresh_memory(), uid=uid, config=config
             )
             assert result.trace is not None
-            run = PreparedRun(
-                uid, config, result.trace, workload=workload, compiled=compiled
-            )
+            run = PreparedRun(uid, config, result.trace)
             if self.persistent is not None:
                 self.persistent.store_trace(
                     self.persistent.trace_key(uid, config), result.trace
                 )
             self._prepared[key] = run
             return run
-
-    def baseline(self, uid: str, core: CoreConfig | None = None) -> PreparedRun:
-        return self.prepared(uid, _baseline_config())
 
     def compiled_program(
         self, uid: str, config: CompilerConfig
@@ -258,8 +218,7 @@ class RunCache:
         """Like :meth:`prepared`, memoised by program digest.
 
         The returned run belongs to the first config seen with this
-        digest; its trace (and summary) are valid for every digest-equal
-        config.
+        digest; its trace is valid for every digest-equal config.
         """
         key = (uid, digest)
         with self._lock:
@@ -268,6 +227,41 @@ class RunCache:
                 run = self.prepared(uid, config)
                 self._digest_runs[key] = run
             return run
+
+    def program_facts(self, uid: str, config: CompilerConfig) -> ProgramFacts:
+        """Code size and stream tallies of one compiled program.
+
+        Memoised, then persisted, then computed, like :meth:`stats`.
+        Only the computing layer compiles and tallies the digest-shared
+        committed stream, so a warm cache builds, compiles and loads
+        nothing.
+        """
+        key = (uid, config)
+        with self._lock:
+            facts = self._facts.get(key)
+            if facts is None and self.persistent is not None:
+                facts = self.persistent.load_facts(
+                    self.persistent.facts_key(uid, config)
+                )
+            if facts is None:
+                compiled = self.compiled_program(uid, config)
+                run = self.prepared_by_digest(
+                    uid, config, self.program_digest(uid, config)
+                )
+                summary = TraceSummary(run.trace)
+                facts = ProgramFacts(
+                    code_size_bytes=compiled.code_size_bytes,
+                    committed=summary.committed,
+                    checkpoints=summary.checkpoints,
+                    spill_stores=summary.spill_stores,
+                    all_stores=summary.all_stores,
+                )
+                if self.persistent is not None:
+                    self.persistent.store_facts(
+                        self.persistent.facts_key(uid, config), facts
+                    )
+            self._facts[key] = facts
+            return facts
 
     def peek_stats(
         self,
@@ -362,6 +356,7 @@ class RunCache:
             self._compiled.clear()
             self._digests.clear()
             self._digest_runs.clear()
+            self._facts.clear()
 
 
 GLOBAL_CACHE = RunCache()

@@ -2,10 +2,12 @@
 
 Covers the tentpole's storage/concurrency contract:
 
-* ArtifactCache round-trips traces and stats, tolerates corrupt files,
-  and honours the ``REPRO_CACHE_DIR`` disable switch;
-* a warm persistent cache serves RunCache without recompiling or
-  re-simulating anything (monkeypatched builders raise if touched);
+* ArtifactCache round-trips traces, stats and program facts, tolerates
+  corrupt files, counts and clears every artifact kind, and honours the
+  ``REPRO_CACHE_DIR`` disable switch;
+* a warm persistent cache serves RunCache without recompiling,
+  re-simulating or re-tallying anything (monkeypatched builders raise if
+  touched);
 * ``prepared()`` under thread contention with interleaved ``clear()``
   never corrupts state, and ``clear()`` leaves the disk layer intact;
 * ``simulate_many`` returns identical stats sharded or sequential;
@@ -25,7 +27,7 @@ from repro.arch.clq import CLQStats
 from repro.arch.config import CoreConfig, ResilienceHardwareConfig
 from repro.arch.stats import SimStats, merge_stats
 from repro.harness import artifacts
-from repro.harness.artifacts import ArtifactCache
+from repro.harness.artifacts import ArtifactCache, ProgramFacts
 from repro.harness.runner import (
     RunCache,
     _baseline_config,
@@ -34,8 +36,13 @@ from repro.harness.runner import (
     turnpike_scheme,
     warm_suite,
 )
+from repro.runtime.trace import TraceSummary
 
 UID = "CPU2006.mcf"
+FACTS = ProgramFacts(
+    code_size_bytes=96, committed=40, checkpoints=3, spill_stores=1,
+    all_stores=9,
+)
 
 
 @pytest.fixture
@@ -63,16 +70,27 @@ class TestArtifactCache:
         disk_cache.store_stats(key, stats)
         assert disk_cache.load_stats(key) == stats
 
+    def test_facts_roundtrip(self, disk_cache):
+        key = disk_cache.facts_key(UID, _baseline_config())
+        assert disk_cache.load_facts(key) is None
+        disk_cache.store_facts(key, FACTS)
+        assert disk_cache.load_facts(key) == FACTS
+
     def test_corrupt_artifact_is_a_miss(self, disk_cache):
         trace_key = disk_cache.trace_key(UID, _baseline_config())
         stats_key = disk_cache.stats_key(
             UID, _baseline_config(), ResilienceHardwareConfig.baseline(),
             CoreConfig(),
         )
+        facts_key = disk_cache.facts_key(UID, _baseline_config())
         (disk_cache.root / f"trace-{trace_key}.pkl").write_bytes(b"garbage")
         (disk_cache.root / f"stats-{stats_key}.json").write_text("{nope")
         assert disk_cache.load_trace(trace_key) is None
         assert disk_cache.load_stats(stats_key) is None
+        facts_path = disk_cache.root / f"facts-{facts_key}.json"
+        for text in ("{nope", "[1, 2]", '{"committed": 4}'):
+            facts_path.write_text(text)
+            assert disk_cache.load_facts(facts_key) is None
 
     def test_keys_depend_on_configs(self):
         base = _baseline_config()
@@ -92,6 +110,32 @@ class TestArtifactCache:
         assert info["artifacts"] == 1 and info["traces"] == 1
         assert disk_cache.clear() == 1
         assert disk_cache.artifact_paths() == []
+
+    def test_every_kind_counted_and_cleared(self, disk_cache):
+        writers = {
+            "trace": lambda key: disk_cache.store_trace(
+                key, [(0, -1, -1, -1, -1, -1, 0)]
+            ),
+            "stats": lambda key: disk_cache.store_stats(key, SimStats()),
+            "facts": lambda key: disk_cache.store_facts(key, FACTS),
+            "golden": lambda key: disk_cache.store_golden(key, {"g": key}),
+            "vuln": lambda key: disk_cache.store_vuln(key, {"uid": UID}),
+            "codegen": lambda key: disk_cache.store_codegen(key, "# m\n"),
+        }
+        assert set(writers) == set(ArtifactCache.KINDS)
+        # A distinct count per kind, so no kind is counted as another.
+        want = {kind: n for n, kind in enumerate(ArtifactCache.KINDS, 1)}
+        for kind, n in want.items():
+            for i in range(n):
+                writers[kind](f"{i}" * 40)
+        disk_cache.generation_path.write_text("0\n")  # not an artifact
+        info = disk_cache.info()
+        assert {kind: info[artifacts.plural(kind)] for kind in want} == want
+        assert info["artifacts"] == sum(want.values())
+        assert set(info["bytes_by_kind"]) == set(want)
+        assert disk_cache.clear() == sum(want.values())
+        assert disk_cache.artifact_paths() == []
+        assert disk_cache.generation_path.exists()
 
     def test_default_disabled_by_env(self, monkeypatch):
         for value in ("0", "off", "none", ""):
@@ -219,6 +263,21 @@ class TestEntriesAndInfoDeterminism:
         text = capsys.readouterr().out
         assert text.index("c" * 40) < text.index("d" * 40)
 
+    def test_cache_info_text_counts_every_kind(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        from repro.__main__ import main as cli_main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cli-cache"))
+        cache = ArtifactCache.default()
+        cache.store_facts("f" * 40, FACTS)
+        cache.store_vuln("v" * 40, {"uid": UID})
+        assert cli_main(["cache", "info"]) == 0
+        assert (
+            "artifacts: 2 (0 traces, 0 stats, 1 facts, 0 goldens, "
+            "1 vulns, 0 codegens)"
+        ) in capsys.readouterr().out
+
 
 class TestRunCachePersistence:
     def test_warm_disk_cache_skips_recompute(self, disk_cache, monkeypatch):
@@ -226,10 +285,12 @@ class TestRunCachePersistence:
         hardware = ResilienceHardwareConfig.baseline()
         cold = RunCache(persistent=disk_cache)
         want = cold.stats(UID, config, hardware)
+        want_facts = cold.program_facts(UID, config)
 
         # A fresh in-process cache over the same disk layer must serve
-        # both the stats and the prepared trace without ever building a
-        # workload, compiling, or running the timing core again.
+        # the stats, the program facts and the prepared trace without
+        # ever building a workload, compiling, tallying a trace or
+        # running the timing core again.
         import repro.harness.runner as runner_mod
 
         def boom(*args, **kwargs):
@@ -238,12 +299,38 @@ class TestRunCachePersistence:
         monkeypatch.setattr(runner_mod, "build_workload", boom)
         monkeypatch.setattr(runner_mod, "compile_baseline", boom)
         monkeypatch.setattr(runner_mod, "compile_program", boom)
+        monkeypatch.setattr(runner_mod, "TraceSummary", boom)
         monkeypatch.setattr(runner_mod.InOrderCore, "run", boom)
         warm = RunCache(persistent=disk_cache)
         assert warm.stats(UID, config, hardware) == want
+        assert warm.program_facts(UID, config) == want_facts
         run = warm.prepared(UID, config)
         assert run.trace  # served from disk
-        assert run.summary.total == len(run.trace)
+        assert want_facts.committed == TraceSummary(run.trace).committed
+
+    def test_program_facts_match_their_sources(self):
+        cache = RunCache(persistent=None)
+        config = turnpike_scheme()[0]
+        facts = cache.program_facts(UID, config)
+        summary = TraceSummary(cache.prepared(UID, config).trace)
+        assert facts == ProgramFacts(
+            code_size_bytes=cache.compiled_program(UID, config).code_size_bytes,
+            committed=summary.committed,
+            checkpoints=summary.checkpoints,
+            spill_stores=summary.spill_stores,
+            all_stores=summary.all_stores,
+        )
+        assert cache.program_facts(UID, config) is facts  # memoised
+        cache.clear()
+        assert not cache._facts
+
+    def test_corrupt_facts_are_recomputed(self, disk_cache):
+        config = _baseline_config()
+        want = RunCache(persistent=disk_cache).program_facts(UID, config)
+        path = disk_cache.root / f"facts-{disk_cache.facts_key(UID, config)}.json"
+        path.write_text("{nope")
+        assert RunCache(persistent=disk_cache).program_facts(UID, config) == want
+        assert disk_cache.load_facts(disk_cache.facts_key(UID, config)) == want
 
     def test_clear_keeps_disk_layer(self, disk_cache):
         config = _baseline_config()

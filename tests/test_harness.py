@@ -45,7 +45,9 @@ class TestRunCache:
         b = cache.prepared(UID, turnstile_config(sb_size=40))
         assert a is not b
         # Larger SB -> larger regions -> fewer checkpoints.
-        assert b.summary.checkpoints < a.summary.checkpoints
+        small = cache.program_facts(UID, turnstile_config(sb_size=4))
+        large = cache.program_facts(UID, turnstile_config(sb_size=40))
+        assert large.checkpoints < small.checkpoints
 
     def test_baseline_cycles_positive(self, cache):
         assert cache.baseline_cycles(UID) > 0

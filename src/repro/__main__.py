@@ -3,7 +3,7 @@
 Commands:
   list                       — list the 36 benchmarks
   run <uid> [--wcdl N] [--sb N] [--scheme turnpike|turnstile|baseline]
-      [--backend fast|codegen|reference]
+      [--backend fast|reference]
                              — compile + simulate one benchmark
   inject [uid] [--count N] [--wcdl N] [--targets a,b] [--workers N]
          [--manifest PATH] [--resume] [--export PATH]
@@ -38,17 +38,14 @@ Commands:
                                suite (fig4, fig14, fig15, fig18, fig19,
                                fig20, fig21, fig22, fig23, fig24, fig25,
                                fig26, table1)
-  cache info|clear|warm|prune|verify [--workers N] [--list] [--json]
-                             — inspect, empty, pre-populate,
-                               generation-sync, or verify the
-                               persistent simulation artifact cache
-                               (info output is deterministically
-                               ordered; --list enumerates artifacts
-                               sorted by key, with source digests for
-                               codegen modules; prune drops artifacts
-                               from dead source generations; verify
-                               recompiles one cached codegen module
-                               from scratch and compares digests)
+  cache info|clear|warm|prune [--workers N] [--list] [--json]
+                             — inspect, empty, pre-populate, or
+                               generation-sync the persistent
+                               simulation artifact cache (info output
+                               is deterministically ordered; --list
+                               enumerates artifacts sorted by key;
+                               prune drops artifacts from dead source
+                               generations)
   sensors [--clock GHZ]      — sensor-count vs WCDL table
   serve [--port P] [--workers N] [--queue-limit N] [--journal DIR]
         [--role local|coordinator|worker] [--coordinator H:P]
@@ -550,71 +547,6 @@ def _cmd_ecc(args) -> int:
     return 0
 
 
-def _cache_verify(cache) -> int:
-    """Recompile one cached codegen module and compare its digests.
-
-    Picks the first codegen artifact in deterministic (kind, key) order,
-    rebuilds the exact same program from the header's (uid, config), runs
-    the warmup/formation pipeline from scratch, and compares the stored
-    ``program-digest`` and canonical ``source-digest`` against the fresh
-    render. Exit 0 when they match (or nothing to verify), 1 otherwise.
-    """
-    import json as _json
-
-    from repro.compiler.config import CompilerConfig
-    from repro.compiler.pipeline import compile_baseline, compile_program
-    from repro.runtime.codegen import CodegenProgram, parse_header
-    from repro.workloads.suites import load_workload
-
-    entries = [entry for entry in cache.entries() if entry[0] == "codegen"]
-    if not entries:
-        print("cache verify: no codegen artifacts to verify")
-        return 0
-    key = entries[0][1]
-    source = cache.load_codegen(key)
-    parsed = parse_header(source) if source is not None else None
-    if parsed is None:
-        print(f"cache verify: codegen-{key}: corrupt header or body",
-              file=sys.stderr)
-        return 1
-    fields = parsed[0]
-    uid = fields.get("uid", "")
-    config_json = fields.get("config", "")
-    if not uid or not config_json:
-        print(f"cache verify: codegen-{key}: anonymous module (no uid/config "
-              "header), cannot rebuild", file=sys.stderr)
-        return 1
-    try:
-        config = CompilerConfig(**_json.loads(config_json))
-        workload = load_workload(uid)
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"cache verify: codegen-{key}: cannot reconstruct inputs: {exc}",
-              file=sys.stderr)
-        return 1
-    if config.name == "baseline":
-        compiled = compile_baseline(workload.program)
-    else:
-        compiled = compile_program(workload.program, config)
-    fresh = CodegenProgram(compiled.program, cache=None)
-    fresh.execute(workload.fresh_memory())  # warmup run compiles the module
-    fresh_parsed = None if fresh.source is None else parse_header(fresh.source)
-    if fresh_parsed is None:
-        print(f"cache verify: codegen-{key}: rebuild produced no module "
-              f"(superblock formation disabled?)", file=sys.stderr)
-        return 1
-    fresh_fields = fresh_parsed[0]
-    print(f"verifying codegen-{key} ({uid}, scheme "
-          f"{fields.get('scheme') or '?'})")
-    ok = True
-    for name in ("program-digest", "source-digest"):
-        stored, rebuilt = fields.get(name, ""), fresh_fields.get(name, "")
-        match = stored == rebuilt
-        ok = ok and match
-        print(f"  {name}: stored {stored or '?'}  "
-              f"rebuilt {rebuilt or '?'}  {'ok' if match else 'MISMATCH'}")
-    return 0 if ok else 1
-
-
 def _cmd_cache(args) -> int:
     import json as _json
 
@@ -625,25 +557,13 @@ def _cmd_cache(args) -> int:
         print("persistent cache disabled (REPRO_CACHE_DIR=0)", file=sys.stderr)
         return 2
     if args.action == "info":
-        from repro.runtime.codegen import parse_header
-
-        def _source_digest(key: str) -> str | None:
-            source = cache.load_codegen(key)
-            parsed = parse_header(source) if source is not None else None
-            return None if parsed is None else parsed[0].get("source-digest")
-
         info = cache.info()
         if args.json:
             if args.list:
-                entries = []
-                for kind, key, size in cache.entries():
-                    entry: dict[str, object] = {
-                        "kind": kind, "key": key, "bytes": size,
-                    }
-                    if kind == "codegen":
-                        entry["source_digest"] = _source_digest(key)
-                    entries.append(entry)
-                info["entries"] = entries
+                info["entries"] = [
+                    {"kind": kind, "key": key, "bytes": size}
+                    for kind, key, size in cache.entries()
+                ]
             print(_json.dumps(info, indent=2, sort_keys=True))
             return 0
         from repro.harness.artifacts import human_size, plural
@@ -663,13 +583,7 @@ def _cmd_cache(args) -> int:
         )
         if args.list:
             for kind, key, size in cache.entries():
-                line = f"{kind:<8} {key}  {human_size(size)}"
-                if kind == "codegen":
-                    digest = _source_digest(key)
-                    line += f"  source={digest or 'CORRUPT'}"
-                print(line)
-    elif args.action == "verify":
-        return _cache_verify(cache)
+                print(f"{kind:<8} {key}  {human_size(size)}")
     elif args.action == "clear":
         removed = cache.clear()
         print(f"removed {removed} cached artifact(s) from {cache.root}")
@@ -794,11 +708,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--backend",
-        choices=("fast", "codegen", "reference"),
+        choices=("fast", "reference"),
         default="fast",
         help="functional simulation backend (fast: compiled basic-block "
-        "replay; codegen: cached superblock modules with guard-and-bail "
-        "dispatch; reference: the golden interpreter)",
+        "replay; reference: the golden interpreter)",
     )
 
     inj_p = sub.add_parser("inject", help="fault-injection campaign")
@@ -1117,7 +1030,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cache", help="manage the persistent simulation artifact cache"
     )
     cache_p.add_argument(
-        "action", choices=("info", "clear", "warm", "prune", "verify")
+        "action", choices=("info", "clear", "warm", "prune")
     )
     cache_p.add_argument(
         "--workers",
@@ -1270,7 +1183,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
             kp.add_argument(
                 "--backend",
-                choices=("fast", "codegen", "reference"),
+                choices=("fast", "reference"),
                 default=None,
             )
         elif kind == "inject":

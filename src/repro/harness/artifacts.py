@@ -7,7 +7,7 @@ code*. This module keys every artifact by a digest of the whole
 so a warm cache can never serve results produced by different simulator
 semantics: touching any ``src/repro`` file invalidates everything.
 
-Six artifact kinds are stored (:attr:`ArtifactCache.KINDS`):
+Five artifact kinds are stored (:attr:`ArtifactCache.KINDS`):
 
 * ``trace-<key>.pkl`` — the dynamic trace of one (uid, compiler-config)
   pair, as pickled tuples. Branch-id fields inside a trace come from the
@@ -31,11 +31,10 @@ Six artifact kinds are stored (:attr:`ArtifactCache.KINDS`):
   :class:`~repro.verify.vuln.VulnerabilityMap` (bit-level
   masked/vulnerable classification) for one (uid, scheme, sb-size,
   wcdl, variants, max-steps) combination.
-* ``codegen-<key>.py`` — a generated superblock module (see
-  :mod:`repro.runtime.codegen`) for one (uid, compiler-config) pair,
-  stored as source text with a self-describing header that pins the
-  program's structural digest and a canonical source digest
-  (``repro cache verify`` recompiles one and compares digests).
+
+Older caches may also hold ``codegen-<key>.py`` modules from a retired
+functional backend; nothing reads them, and ``clear`` (hence ``cache
+clear`` and ``cache prune``) deletes them with the rest.
 
 Writes are atomic (temp file + ``os.replace``), so any number of
 processes — the multiprocess shards of :mod:`repro.harness.runner`
@@ -55,6 +54,7 @@ import hashlib
 import json
 import os
 import pickle
+import re
 import tempfile
 from pathlib import Path
 from typing import TypeVar
@@ -137,7 +137,9 @@ class ArtifactCache:
     #: Every artifact kind, named by its file prefix (``<kind>-<key>``).
     #: Maintenance (``clear``, ``sync_generation``) and ``info`` counts
     #: cover exactly these.
-    KINDS = ("trace", "stats", "facts", "golden", "vuln", "codegen")
+    KINDS = ("trace", "stats", "facts", "golden", "vuln")
+    #: Files of retired kinds that ``clear`` still removes.
+    STALE = re.compile(r"codegen-[0-9a-f]{40}\.py")
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root).expanduser()
@@ -210,17 +212,6 @@ class ArtifactCache:
         record's snapshot grid and timeout-splice arithmetic.
         """
         return _key("golden", uid, config, interval, max_steps)
-
-    @staticmethod
-    def codegen_key(uid: str, compiler: CompilerConfig) -> str:
-        """Key for a generated codegen module.
-
-        Same identity as a trace — (uid, compiler-config) plus the
-        source digest baked into :func:`_key` — because the module is a
-        pure function of the compiled program and its (deterministic)
-        warmup profile.
-        """
-        return _key("codegen", uid, compiler)
 
     @staticmethod
     def vuln_key(
@@ -334,22 +325,6 @@ class ArtifactCache:
         text = json.dumps(data, sort_keys=True)
         self._write_atomic(self.root / f"vuln-{key}.json", text.encode())
 
-    def load_codegen(self, key: str) -> str | None:
-        """Load a generated module's source text, or None on any miss.
-
-        Header/digest validation is the caller's job
-        (:func:`repro.runtime.codegen.parse_header`); this layer only
-        deals in bytes.
-        """
-        path = self.root / f"codegen-{key}.py"
-        try:
-            return path.read_text()
-        except (OSError, UnicodeDecodeError):
-            return None
-
-    def store_codegen(self, key: str, source: str) -> None:
-        self._write_atomic(self.root / f"codegen-{key}.py", source.encode())
-
     # -- maintenance -------------------------------------------------------
 
     def artifact_paths(self) -> list[Path]:
@@ -380,7 +355,8 @@ class ArtifactCache:
     def clear(self) -> int:
         """Delete every artifact (any generation); returns the count."""
         removed = 0
-        for path in self.artifact_paths():
+        stale = [p for p in self.root.iterdir() if self.STALE.fullmatch(p.name)]
+        for path in self.artifact_paths() + stale:
             try:
                 path.unlink()
                 removed += 1

@@ -11,8 +11,13 @@ cooperating layers:
 2. a persistent :class:`~repro.harness.artifacts.ArtifactCache` shared
    across processes and sessions (keyed by a digest of the simulator
    source, so stale artefacts can never survive a code change);
-3. multiprocess sharding (:func:`simulate_many`, :func:`warm_suite`)
-   that fans benchmark x config jobs out across cores.
+3. multiprocess sharding: :func:`warm_suite` hands a benchmark x scheme
+   lattice to :func:`repro.harness.sweep.run_sweep`, whose process pool
+   fans lane batches out across cores.
+
+Timing always runs the lane kernel of :mod:`repro.runtime.multisim`; a
+solo :meth:`RunCache.stats` call is a one-lane
+:func:`~repro.runtime.multisim.run_lanes`.
 
 Per-process caches are **independent**: each worker process builds its
 own ``RunCache`` (a fork inherits a snapshot of the parent's, spawn
@@ -37,49 +42,35 @@ import threading
 from dataclasses import replace
 
 from repro.arch.config import CoreConfig, ResilienceHardwareConfig
-from repro.arch.core import InOrderCore
 from repro.arch.stats import SimStats
 from repro.compiler.config import CompilerConfig, turnpike_config, turnstile_config
 from repro.compiler.pipeline import CompiledProgram, compile_baseline, compile_program
 from repro.harness.artifacts import ArtifactCache, ProgramFacts
 from repro.runtime.fastsim import execute_fast
 from repro.runtime.interpreter import execute
+from repro.runtime.multisim import run_lanes
 from repro.runtime.trace import TraceSummary
 from repro.workloads.generator import Workload, build_workload
 from repro.workloads.suites import all_profiles, profile as lookup_profile
 
 
 def functional_backend() -> str:
-    """``"fast"`` (default), ``"codegen"`` or ``"reference"``.
+    """``"fast"`` (default) or ``"reference"``, from REPRO_SIM_BACKEND.
 
-    From REPRO_SIM_BACKEND. ``codegen`` runs the gen-2 superblock
-    backend (:mod:`repro.runtime.codegen`); all three are bit-identical.
+    The two are bit-identical.
     """
     backend = os.environ.get("REPRO_SIM_BACKEND", "fast").strip().lower()
-    if backend not in ("fast", "reference", "codegen"):
+    if backend not in ("fast", "reference"):
         raise ValueError(
-            f"REPRO_SIM_BACKEND={backend!r}: "
-            "expected 'fast', 'codegen' or 'reference'"
+            f"REPRO_SIM_BACKEND={backend!r}: expected 'fast' or 'reference'"
         )
     return backend
 
 
-def _run_functional(program, memory, uid=None, config=None):
-    """Functional execution via the selected backend.
-
-    ``uid``/``config`` (known for harness benchmarks, None for ad-hoc
-    programs) let the codegen backend address its generated module in
-    the persistent artifact cache.
-    """
-    backend = functional_backend()
-    if backend == "reference":
+def _run_functional(program, memory):
+    """Functional execution via the selected backend."""
+    if functional_backend() == "reference":
         return execute(program, memory, collect_trace=True)
-    if backend == "codegen":
-        from repro.runtime.codegen import execute_codegen
-
-        return execute_codegen(
-            program, memory, collect_trace=True, uid=uid, config=config
-        )
     return execute_fast(program, memory, collect_trace=True)
 
 
@@ -167,9 +158,7 @@ class RunCache:
                     return run
             workload = self.workload(uid)
             compiled = self.compiled_program(uid, config)
-            result = _run_functional(
-                compiled.program, workload.fresh_memory(), uid=uid, config=config
-            )
+            result = _run_functional(compiled.program, workload.fresh_memory())
             assert result.trace is not None
             run = PreparedRun(uid, config, result.trace)
             if self.persistent is not None:
@@ -325,7 +314,7 @@ class RunCache:
                     self._stats[key] = stats
             if stats is None:
                 run = self.prepared(uid, compiler)
-                stats = InOrderCore(core, hardware).run(run.trace)
+                (stats,) = run_lanes(run.trace, [(core, hardware)])
                 self._stats[key] = stats
                 if self.persistent is not None:
                     self.persistent.store_stats(
@@ -434,18 +423,7 @@ def run_report_text(
     from repro.compiler.config import turnpike_config, turnstile_config
     from repro.workloads.suites import load_workload
 
-    if backend == "codegen":
-        from repro.runtime.codegen import execute_codegen
-
-        def run_functional(program, memory, collect_trace=True, *, _config=None):
-            return execute_codegen(
-                program, memory, collect_trace=collect_trace,
-                uid=uid, config=_config,
-            )
-    elif backend == "fast":
-        run_functional = execute_fast
-    else:
-        run_functional = execute
+    run_functional = execute_fast if backend == "fast" else execute
     workload = load_workload(uid)
     if scheme == "baseline":
         compiled = compile_baseline(workload.program)
@@ -457,20 +435,21 @@ def run_report_text(
         compiled = compile_program(workload.program, turnpike_config(sb_size=sb_size))
         hw = ResilienceHardwareConfig.turnpike(wcdl=wcdl, sb_size=sb_size)
 
-    kwargs = {"_config": compiled.config} if backend == "codegen" else {}
-    result = run_functional(
-        compiled.program, workload.fresh_memory(), collect_trace=True, **kwargs
-    )
-    stats = InOrderCore(CoreConfig(), hw).run(result.trace)
+    trace = run_functional(
+        compiled.program, workload.fresh_memory(), collect_trace=True
+    ).trace
+    (stats,) = run_lanes(trace, [(CoreConfig(), hw)])
+    # Release the scheme's trace before the baseline's trace and feed
+    # exist, so a job never holds two committed streams at once.
+    del trace
 
     base = compile_baseline(workload.program)
-    kwargs = {"_config": base.config} if backend == "codegen" else {}
-    base_run = run_functional(
-        base.program, workload.fresh_memory(), collect_trace=True, **kwargs
+    base_trace = run_functional(
+        base.program, workload.fresh_memory(), collect_trace=True
+    ).trace
+    (base_stats,) = run_lanes(
+        base_trace, [(CoreConfig(), ResilienceHardwareConfig.baseline())]
     )
-    base_stats = InOrderCore(
-        CoreConfig(), ResilienceHardwareConfig.baseline()
-    ).run(base_run.trace)
 
     lines = [
         f"benchmark:        {uid}",
@@ -492,8 +471,6 @@ def run_report_text(
 
 # -- multiprocess sharding -------------------------------------------------
 
-SimJob = tuple  # (uid, CompilerConfig, ResilienceHardwareConfig[, CoreConfig])
-
 
 def resolve_workers(workers: int | None = None) -> int:
     """Explicit argument > REPRO_WORKERS env > 1 (sequential)."""
@@ -505,39 +482,6 @@ def resolve_workers(workers: int | None = None) -> int:
     if workers <= 0:
         workers = os.cpu_count() or 1
     return workers
-
-
-def _mp_simulate(job: SimJob) -> SimStats:
-    """Worker entry point: simulate one job via the worker's own caches."""
-    uid, compiler, hardware = job[0], job[1], job[2]
-    core = job[3] if len(job) > 3 else None
-    return simulate(uid, compiler, hardware, core)
-
-
-def simulate_many(
-    jobs: list[SimJob],
-    workers: int | None = None,
-    cache: RunCache | None = None,
-) -> list[SimStats]:
-    """Simulate many (uid, compiler, hardware[, core]) jobs, sharded.
-
-    With ``workers > 1`` the jobs fan out across a process pool; each
-    worker runs against its own independent in-process cache, and every
-    computed artefact lands in the shared persistent cache so the parent
-    (and future sessions) reuse it. Results return in job order and are
-    also folded into ``cache`` via the persistent layer on next access.
-    """
-    workers = resolve_workers(workers)
-    if workers <= 1 or len(jobs) <= 1:
-        cache = cache or GLOBAL_CACHE
-        return [
-            cache.stats(j[0], j[1], j[2], j[3] if len(j) > 3 else None)
-            for j in jobs
-        ]
-    import multiprocessing as mp
-
-    with mp.get_context().Pool(min(workers, len(jobs))) as pool:
-        return pool.map(_mp_simulate, jobs, chunksize=1)
 
 
 def default_schemes() -> list[tuple[str, CompilerConfig, ResilienceHardwareConfig]]:
@@ -559,17 +503,20 @@ def warm_suite(
 ) -> dict[tuple[str, str], SimStats]:
     """Pre-populate the caches for a benchmark x scheme matrix, sharded.
 
-    Returns ``{(uid, scheme_name): stats}``. After this returns, the
-    persistent cache holds a trace and timing stats for every
+    The matrix is one :func:`~repro.harness.sweep.run_sweep` lattice, so
+    ``workers > 1`` fans its lane batches across the sweep's process
+    pool. Returns ``{(uid, scheme_name): stats}``. After this returns,
+    the persistent cache holds a trace and timing stats for every
     combination, so subsequent figure sweeps start warm.
     """
+    from repro.harness.sweep import DesignPoint, run_sweep
+
     uids = uids if uids is not None else default_benchmarks()
     schemes = schemes if schemes is not None else default_schemes()
-    jobs: list[SimJob] = []
-    names: list[tuple[str, str]] = []
-    for uid in uids:
-        for name, compiler, hardware in schemes:
-            jobs.append((uid, compiler, hardware))
-            names.append((uid, name))
-    results = simulate_many(jobs, workers=workers)
-    return dict(zip(names, results))
+    named = {
+        (uid, name): DesignPoint(uid, compiler, hardware)
+        for uid in uids
+        for name, compiler, hardware in schemes
+    }
+    results = run_sweep(list(named.values()), cache=GLOBAL_CACHE, workers=workers)
+    return {pair: results[point] for pair, point in named.items()}

@@ -21,8 +21,9 @@ The engine exploits both:
    functional work once) and K independent timing lanes, each
    byte-identical to a solo :func:`~repro.harness.runner.simulate`.
 3. **Multiprocess dispatch**: with ``workers > 1`` (or
-   ``REPRO_WORKERS``) lane batches fan out across a process pool, the
-   same sharding plumbing as ``simulate_many``.
+   ``REPRO_WORKERS``) lane batches fan out across a process pool,
+   which ``cache warm`` (:func:`~repro.harness.runner.warm_suite`)
+   shards through too.
 
 Results are inserted back into the :class:`~repro.harness.runner.
 RunCache` stats layers under each point's own config key, so the solo
@@ -231,9 +232,10 @@ def run_sweep(
 ) -> dict[DesignPoint, SimStats]:
     """Evaluate a design-point lattice through the multi-lane engine.
 
-    Returns stats for every input point (defensive copies). Every lane
-    is byte-identical to a solo ``simulate`` of the same point —
-    enforced by ``tests/test_multisim_parity.py``.
+    Returns stats for every input point (defensive copies). A solo
+    ``simulate`` of the same point runs the same lane kernel, one lane
+    at a time, and every lane matches the object-model timing reference
+    field for field (``tests/test_multisim_parity.py``).
     """
     cache = cache or GLOBAL_CACHE
     plan = plan_sweep(points, cache, reuse_cached=reuse_cached)

@@ -1,82 +1,18 @@
-"""Codegen backend: per-program Python modules with superblock dispatch.
+"""Structural program digest.
 
-This is the gen-2 functional backend behind ``--backend codegen``. Where
-:mod:`repro.runtime.fastsim` execs one step function per basic block at
-compile time, this backend goes one step further:
-
-1. the **first** execution of a program runs on the block-level path
-   while the exit-table driver accumulates its free static-edge profile
-   (a warmup run — results are returned normally and are bit-identical);
-2. the profile drives :func:`repro.runtime.superblock.form_chains`, and
-   the whole program — block functions, fused superblock functions with
-   guard-and-bail mispredict exits, and the flat exit/dispatch tables —
-   is rendered as **one self-contained Python source module**;
-3. subsequent executions dispatch through the superblock table: zero
-   per-instruction interpretation, and for hot chains zero per-block
-   register writeback/reload as well.
-
-The rendered module is content-addressed in the artifact cache
-(``codegen-<key>.py``) when the program comes from the harness (known
-benchmark uid + compiler config), so later processes skip the warmup
-run entirely and start on the superblock path. Two safety valves keep
-the backend observationally identical to fastsim:
-
-* **digest-based invalidation** — the cache key embeds the simulator
-  source digest, and the stored header pins the program's uid-free
-  structural digest plus a body digest, so a stale, corrupt, or
-  mismatched module is a cache miss, never a wrong answer;
-* **bail-rate deoptimization** — if bail exits fire for more than
-  ``DEOPT_RATIO`` of superblock dispatches (past a small grace floor),
-  dispatch drops back to the block-level functions, whose behaviour is
-  exactly fastsim's.
-
-Branch ids folded into trace tuples are process-global instruction
-uids, so the executable render of a module is only unique up to a
-constant uid offset (the same caveat the trace cache documents). The
-``source-digest`` header is therefore computed over a *canonical*
-second render rebased to the program's minimum uid, which is
-process-invariant — ``repro cache verify`` recompiles a cached module
-from scratch and compares exactly this digest. A module served from the
-cache may emit branch ids offset by a constant against a same-process
-fastsim trace; aliasing in the branch predictor depends only on uid
-differences, so timing statistics are unaffected (traces produced
-within one process, as the parity suite does, are bit-identical).
+The sweep planner groups design points by the program their compiler
+config produces: two configs with the same digest compile to the same
+program and therefore commit the same stream.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import asdict
-from typing import Any
 
-from repro.compiler.config import CompilerConfig
 from repro.isa.program import Program
-from repro.isa.registers import Reg
-from repro.runtime.fastsim import FastProgram
-from repro.runtime.interpreter import (
-    ExecutionLimitExceeded,
-    ExecutionResult,
-    _reg_index,
-)
-from repro.runtime.memory import STACK_BASE, Memory
-from repro.runtime.superblock import MIN_COUNT, RATIO, emit_module, form_chains
+from repro.runtime.interpreter import _reg_index
 
-__all__ = [
-    "CodegenProgram",
-    "compile_codegen",
-    "execute_codegen",
-    "program_digest",
-    "render_module",
-    "parse_header",
-]
-
-_HEADER_MAGIC = "# repro codegen module v1"
-
-# Deoptimize once bails exceed this fraction of superblock dispatches
-# (after a grace floor so one cold run cannot condemn a hot chain).
-DEOPT_RATIO = 0.25
-DEOPT_FLOOR = 32
+__all__ = ["program_digest"]
 
 
 def program_digest(program: Program) -> str:
@@ -94,313 +30,3 @@ def program_digest(program: Program) -> str:
                 f"|{instr.targets}|{instr.region_id}|{kind}".encode()
             )
     return hasher.hexdigest()[:16]
-
-
-def _min_uid(program: Program) -> int:
-    uids = [i.uid for i in program.instructions()]
-    return min(uids) if uids else 0
-
-
-def render_module(
-    program: Program,
-    chains: list[list[int]],
-    uid: str | None = None,
-    config: CompilerConfig | None = None,
-) -> str:
-    """Render the full cached artifact: header lines + module body."""
-    body = emit_module(program, chains)
-    canonical = emit_module(program, chains, uid_base=_min_uid(program))
-    source_digest = hashlib.sha256(canonical.encode()).hexdigest()[:16]
-    body_digest = hashlib.sha256(body.encode()).hexdigest()[:16]
-    config_json = "" if config is None else json.dumps(
-        asdict(config), sort_keys=True
-    )
-    header = [
-        _HEADER_MAGIC,
-        f"# uid: {uid or ''}",
-        f"# scheme: {config.name if config is not None else ''}",
-        f"# config: {config_json}",
-        f"# program-digest: {program_digest(program)}",
-        f"# source-digest: {source_digest}",
-        f"# body-digest: {body_digest}",
-    ]
-    return "\n".join(header) + "\n" + body
-
-
-def parse_header(source: str) -> tuple[dict[str, str], str] | None:
-    """Split a cached module into (header fields, body); None if invalid.
-
-    Validates the body digest, so a truncated or bit-flipped artifact is
-    reported as unparseable (a cache miss) rather than executed.
-    """
-    lines = source.split("\n")
-    if not lines or lines[0] != _HEADER_MAGIC:
-        return None
-    fields: dict[str, str] = {}
-    body_start = 1
-    for i, line in enumerate(lines[1:], start=1):
-        if not line.startswith("# "):
-            body_start = i
-            break
-        key, sep, value = line[2:].partition(": ")
-        if sep:
-            fields[key] = value
-        else:
-            fields[line[2:].rstrip(":")] = ""
-    else:
-        return None
-    body = "\n".join(lines[body_start:])
-    expected = fields.get("body-digest", "")
-    if hashlib.sha256(body.encode()).hexdigest()[:16] != expected:
-        return None
-    return fields, body
-
-
-class CodegenProgram:
-    """A program executed through a generated superblock module.
-
-    Drop-in for :class:`~repro.runtime.fastsim.FastProgram` (same
-    ``execute`` contract, bit-identical results); adds the JIT-style
-    warmup / formation / deopt lifecycle described in the module
-    docstring. ``uid`` and ``config`` opt the instance into the
-    persistent artifact cache; anonymous programs (randomized tests)
-    stay process-local.
-    """
-
-    def __init__(
-        self,
-        program: Program,
-        uid: str | None = None,
-        config: CompilerConfig | None = None,
-        cache: object = "default",
-        min_count: int = MIN_COUNT,
-        ratio: float = RATIO,
-        warmup_runs: int = 1,
-    ) -> None:
-        from repro.harness.artifacts import ArtifactCache
-
-        self._program = program
-        self.name = program.name
-        self._fast = FastProgram(program)
-        self._profile: list[int] = [0] * len(self._fast.exits)
-        self._min_count = min_count
-        self._ratio = ratio
-        self.warmup_runs = warmup_runs
-        self._warm_runs = 0
-        self._ns: dict[str, Any] | None = None
-        self._disabled = False
-        self.chains: list[list[int]] = []
-        self.source: str | None = None
-        self.cache_hit = False
-        self.deopted = False
-        self.bail_count = 0
-        self.sb_dispatches = 0
-
-        resolved: ArtifactCache | None
-        if cache == "default":
-            resolved = ArtifactCache.default()
-        else:
-            assert cache is None or isinstance(cache, ArtifactCache)
-            resolved = cache
-        self._cache = resolved
-        self._key: str | None = None
-        if uid is not None and config is not None and self._cache is not None:
-            self._key = self._cache.codegen_key(uid, config)
-            cached = self._cache.load_codegen(self._key)
-            if cached is not None:
-                parsed = parse_header(cached)
-                if (
-                    parsed is not None
-                    and parsed[0].get("program-digest") == program_digest(program)
-                    and self._install(cached, parsed[1])
-                ):
-                    self.cache_hit = True
-        self._uid = uid
-        self._config = config
-
-    # -- module lifecycle --------------------------------------------------
-
-    def _install(self, source: str, body: str) -> bool:
-        namespace: dict[str, Any] = {}
-        try:
-            exec(  # noqa: S102 - source is generated (and digest-checked)
-                compile(body, f"<codegen:{self.name}>", "exec"), namespace
-            )
-        except (SyntaxError, ValueError):
-            return False
-        self._ns = namespace
-        self.chains = [list(c) for c in namespace["CHAINS"]]
-        self.source = source
-        return True
-
-    def _compile_module(self) -> None:
-        """Form chains from the warmup profile and install the module."""
-        try:
-            chains = form_chains(
-                self._fast.exits,
-                self._profile,
-                len(self._fast._lens),
-                min_count=self._min_count,
-                ratio=self._ratio,
-            )
-            source = render_module(
-                self._program, chains, uid=self._uid, config=self._config
-            )
-            parsed = parse_header(source)
-            if parsed is None or not self._install(source, parsed[1]):
-                raise ValueError("generated module failed to install")
-        except Exception:
-            # Safe fallback: stay on the fastsim block-level path.
-            self._disabled = True
-            return
-        if self._cache is not None and self._key is not None:
-            self._cache.store_codegen(self._key, source)
-
-    # -- execution ---------------------------------------------------------
-
-    def execute(
-        self,
-        memory: Memory | None = None,
-        initial_registers: dict[Reg, int] | None = None,
-        max_steps: int = 2_000_000,
-        collect_trace: bool = False,
-    ) -> ExecutionResult:
-        """Run to RET; same contract (and results) as fastsim/reference."""
-        if self._ns is None:
-            result = self._fast.execute(
-                memory,
-                initial_registers=initial_registers,
-                max_steps=max_steps,
-                collect_trace=collect_trace,
-                exit_counts=self._profile,
-            )
-            self._warm_runs += 1
-            if not self._disabled and self._warm_runs >= self.warmup_runs:
-                self._compile_module()
-            return result
-        return self._execute_module(
-            memory, initial_registers, max_steps, collect_trace
-        )
-
-    def _execute_module(
-        self,
-        memory: Memory | None,
-        initial_registers: dict[Reg, int] | None,
-        max_steps: int,
-        collect_trace: bool,
-    ) -> ExecutionResult:
-        ns = self._ns
-        assert ns is not None
-        mem = memory if memory is not None else Memory()
-        num_slots = max(self._fast.num_slots, int(ns["NUM_SLOTS"]))
-        init_items = list(initial_registers.items()) if initial_registers else []
-        for reg, _ in init_items:
-            if _reg_index(reg) >= num_slots:
-                num_slots = _reg_index(reg) + 1
-        R = [0] * num_slots
-        R[int(ns["SP_SLOT"])] = STACK_BASE
-        for reg, value in init_items:
-            R[_reg_index(reg)] = value
-
-        M = mem.cells
-        esteps: list[int] = ns["ESTEPS"]
-        etarget: list[int] = ns["ETARGET"]
-        if self.deopted:
-            funcs = ns["BLOCKS_T"] if collect_trace else ns["BLOCKS_P"]
-        else:
-            funcs = ns["DISPATCH_T"] if collect_trace else ns["DISPATCH_P"]
-        counts = [0] * len(esteps)
-        trace: list[tuple[int, ...]] | None = None
-        steps = 0
-        idx = 0
-        limit_msg = f"{self.name}: exceeded {max_steps} dynamic instructions"
-        if collect_trace:
-            trace = []
-            while idx >= 0:
-                e = funcs[idx](R, M, trace)
-                steps += esteps[e]
-                if steps > max_steps:
-                    self._fold_stats(counts, ns)
-                    raise ExecutionLimitExceeded(limit_msg)
-                counts[e] += 1
-                idx = etarget[e]
-        else:
-            while idx >= 0:
-                e = funcs[idx](R, M)
-                steps += esteps[e]
-                if steps > max_steps:
-                    self._fold_stats(counts, ns)
-                    raise ExecutionLimitExceeded(limit_msg)
-                counts[e] += 1
-                idx = etarget[e]
-        self._fold_stats(counts, ns)
-
-        regs: dict[Reg, int] = {}
-        sp = self._program.register_file.stack_pointer
-        regs[sp] = R[int(ns["SP_SLOT"])]
-        for reg, _ in init_items:
-            regs[reg] = R[_reg_index(reg)]
-        written: set[int] = set()
-        ewrites: list[tuple[int, ...]] = ns["EWRITES"]
-        for e, c in enumerate(counts):
-            if c:
-                written.update(ewrites[e])
-        slot_registers = self._fast.slot_registers
-        for slot in written:
-            regs[slot_registers[slot]] = R[slot]
-        return ExecutionResult(mem, regs, steps, trace)
-
-    def _fold_stats(self, counts: list[int], ns: dict[str, Any]) -> None:
-        """Accumulate bail statistics and apply the deopt policy."""
-        ebail: list[int] = ns["EBAIL"]
-        first_sb: int = ns["FIRST_SB_EXIT"]
-        run_sb = 0
-        run_bails = 0
-        for e in range(first_sb, len(counts)):
-            c = counts[e]
-            if c:
-                run_sb += c
-                if ebail[e]:
-                    run_bails += c
-        self.sb_dispatches += run_sb
-        self.bail_count += run_bails
-        if (
-            not self.deopted
-            and self.bail_count
-            > max(DEOPT_FLOOR, int(self.sb_dispatches * DEOPT_RATIO))
-        ):
-            self.deopted = True
-
-
-def compile_codegen(
-    program: Program,
-    uid: str | None = None,
-    config: CompilerConfig | None = None,
-    cache: object = "default",
-) -> CodegenProgram:
-    """Build a :class:`CodegenProgram` (cache-backed when uid+config given)."""
-    return CodegenProgram(program, uid=uid, config=config, cache=cache)
-
-
-def execute_codegen(
-    program: Program,
-    memory: Memory | None = None,
-    initial_registers: dict[Reg, int] | None = None,
-    max_steps: int = 2_000_000,
-    collect_trace: bool = False,
-    uid: str | None = None,
-    config: CompilerConfig | None = None,
-    cache: object = "default",
-) -> ExecutionResult:
-    """One-shot execution through the codegen backend.
-
-    On a cache hit the superblock module runs immediately; on a miss
-    this is a (bit-identical) block-level warmup run whose profile
-    builds and persists the module for every later caller.
-    """
-    return CodegenProgram(program, uid=uid, config=config, cache=cache).execute(
-        memory,
-        initial_registers=initial_registers,
-        max_steps=max_steps,
-        collect_trace=collect_trace,
-    )

@@ -16,14 +16,12 @@ advances with three flat-table lookups::
 
     e = funcs[idx](R, M, T)
     steps += ESTEPS[e]        # instructions retired on that path
-    counts[e] += 1            # free per-edge execution profile
+    counts[e] += 1            # which exits ran (final registers)
     idx = ETARGET[e]          # statically known successor (-1 on RET)
 
-Because every exit is one static CFG edge, the per-exit counter the
-driver maintains anyway doubles as a complete edge profile at zero
-marginal cost — :mod:`repro.runtime.superblock` consumes it directly to
-form hot superblock chains, and :mod:`repro.runtime.codegen` uses those
-chains to emit fused per-program modules.
+Because every exit is one static CFG edge, the per-exit counts also
+say which register slots a run wrote, so final registers are rebuilt
+from the exits taken rather than from every slot.
 
 The backend is held to a *bit-identical* contract with the reference
 interpreter (enforced by ``tests/test_fastsim_parity.py``):
@@ -157,40 +155,25 @@ class ExitTable:
 
     One row per exit, all columns parallel flat lists:
 
-    * ``steps[e]`` — dynamic instructions retired when leaving via ``e``
-      (for a superblock bail, only the executed prefix);
+    * ``steps[e]`` — dynamic instructions retired when leaving via ``e``;
     * ``target[e]`` — static successor block index, -1 for RET;
-    * ``bail[e]`` — 1 if the exit is a superblock mispredict bail;
     * ``writes[e]`` — sorted tuple of register slots written on that
-      path (drives final-register reconstruction);
-    * ``block[e]`` — index of the block whose terminator (or guard)
-      owns the exit; superblock formation groups edges by this.
+      path (drives final-register reconstruction).
     """
 
-    __slots__ = ("steps", "target", "bail", "writes", "block")
+    __slots__ = ("steps", "target", "writes")
 
     def __init__(self) -> None:
         self.steps: list[int] = []
         self.target: list[int] = []
-        self.bail: list[int] = []
         self.writes: list[tuple[int, ...]] = []
-        self.block: list[int] = []
 
-    def add(
-        self,
-        steps: int,
-        target: int,
-        bail: int,
-        writes: tuple[int, ...],
-        block: int,
-    ) -> int:
+    def add(self, steps: int, target: int, writes: tuple[int, ...]) -> int:
         """Register one exit; returns its id."""
         eid = len(self.steps)
         self.steps.append(steps)
         self.target.append(target)
-        self.bail.append(bail)
         self.writes.append(writes)
-        self.block.append(block)
         return eid
 
     def __len__(self) -> int:
@@ -200,10 +183,9 @@ class ExitTable:
 class _FnState:
     """Mutable emission state for one generated step function.
 
-    Shared across a whole fused superblock chain, so that a register
-    defined by an earlier block in the chain is read from its local
-    (``g<slot>``) rather than re-loaded from ``R`` — the writeback the
-    block-level path would have done is elided until an exit.
+    A register defined earlier in the block is read from its local
+    (``g<slot>``) rather than re-loaded from ``R``; locals are written
+    back once, at the exit.
     """
 
     __slots__ = ("body", "defined", "loaded", "load_order", "writes", "length")
@@ -304,26 +286,15 @@ def _lower_block_body(
     st: _FnState,
     here_order: int,
     block_order: dict[str, int],
-    indent: str = "",
-    uid_base: int = 0,
 ) -> Instruction | None:
     """Lower one block's instructions into ``st``; return the terminator.
 
     Straight-line instructions (including a branch's comparison and every
-    trace append) are emitted in place; the caller decides what control
-    transfer to generate for the returned terminator — a ``return`` for
-    the block-level path, a guard-and-bail for a superblock interior.
-    Returns None when the block falls off its end without a terminator.
-
-    ``uid_base`` is subtracted from every branch id folded into a trace
-    tuple. Execution always uses 0 (raw, process-global ids, so traces
-    are bit-identical across backends within one process); the codegen
-    cache hashes a second render rebased to the program's minimum uid,
-    which makes the content digest process-invariant.
+    trace append) are emitted in place; the caller generates the control
+    transfer for the returned terminator. Returns None when the block
+    falls off its end without a terminator.
     """
-
-    def emit(line: str, trace_only: bool = False) -> None:
-        st.emit(indent + line, trace_only)
+    emit = st.emit
 
     for instr in block_instrs:
         st.length += 1
@@ -378,11 +349,11 @@ def _lower_block_body(
             backward = 2 if block_order[instr.targets[0]] <= here_order else 0
             s1, s2 = _reg_index(srcs[0]), _reg_index(srcs[1])
             taken_tup = (
-                f"(6, -1, {s1}, {s2}, {instr.uid - uid_base}, {_region_of(instr)},"
+                f"(6, -1, {s1}, {s2}, {instr.uid}, {_region_of(instr)},"
                 f" {1 | backward})"
             )
             fall_tup = (
-                f"(6, -1, {s1}, {s2}, {instr.uid - uid_base}, {_region_of(instr)},"
+                f"(6, -1, {s1}, {s2}, {instr.uid}, {_region_of(instr)},"
                 f" {backward})"
             )
             emit(f"_tk = {lhs} {_BRANCH_CMP[op]} {rhs}")
@@ -392,7 +363,7 @@ def _lower_block_body(
         if op is Opcode.JMP:
             backward = 2 if block_order[instr.targets[0]] <= here_order else 0
             emit(
-                f"A((6, -1, -1, -1, {instr.uid - uid_base}, {_region_of(instr)},"
+                f"A((6, -1, -1, -1, {instr.uid}, {_region_of(instr)},"
                 f" {1 | backward | 4}))",
                 trace_only=True,
             )
@@ -419,7 +390,7 @@ def _lower_block_body(
 
 
 class _BlockCode:
-    """Codegen result for one step function (block or superblock)."""
+    """Codegen result for one block's step function."""
 
     __slots__ = ("length", "trace_lines", "plain_lines")
 
@@ -432,33 +403,25 @@ class _BlockCode:
 def _gen_block(
     block_instrs: list[Instruction],
     label: str,
-    block_idx: int,
     label_index: dict[str, int],
     block_order: dict[str, int],
     exits: ExitTable,
-    uid_base: int = 0,
 ) -> _BlockCode:
     """Lower one basic block to a step function, registering its exits."""
     st = _FnState()
-    term = _lower_block_body(
-        block_instrs, st, block_order[label], block_order, uid_base=uid_base
-    )
+    term = _lower_block_body(block_instrs, st, block_order[label], block_order)
     writes = st.writes_tuple()
     if term is None:
         # Mirror the interpreter's error for non-terminated blocks.
         ret = f"raise RuntimeError({f'fell off the end of block {label!r}'!r})"
     elif term.op is Opcode.RET:
-        ret = f"return {exits.add(st.length, -1, 0, writes, block_idx)}"
+        ret = f"return {exits.add(st.length, -1, writes)}"
     elif term.op is Opcode.JMP:
         target = label_index[term.targets[0]]
-        ret = f"return {exits.add(st.length, target, 0, writes, block_idx)}"
+        ret = f"return {exits.add(st.length, target, writes)}"
     else:
-        e_taken = exits.add(
-            st.length, label_index[term.targets[0]], 0, writes, block_idx
-        )
-        e_fall = exits.add(
-            st.length, label_index[term.targets[1]], 0, writes, block_idx
-        )
+        e_taken = exits.add(st.length, label_index[term.targets[0]], writes)
+        e_fall = exits.add(st.length, label_index[term.targets[1]], writes)
         ret = f"return {e_taken} if _tk else {e_fall}"
     tail = st.writeback_lines() + [ret]
     trace_lines, plain_lines = st.assemble(tail)
@@ -495,9 +458,9 @@ class FastProgram:
 
         codes = [
             _gen_block(
-                b.instructions, b.label, i, label_index, block_order, self.exits
+                b.instructions, b.label, label_index, block_order, self.exits
             )
-            for i, b in enumerate(program.blocks)
+            for b in program.blocks
         ]
         self._lens = [c.length for c in codes]
 
@@ -527,15 +490,8 @@ class FastProgram:
         initial_registers: dict[Reg, int] | None = None,
         max_steps: int = 2_000_000,
         collect_trace: bool = False,
-        exit_counts: list[int] | None = None,
     ) -> ExecutionResult:
-        """Run to RET; same contract as :func:`interpreter.execute`.
-
-        When ``exit_counts`` is given, the per-exit execution counts of
-        this run are accumulated into it (extending it to the number of
-        exits if needed) — a complete static-edge profile for
-        :func:`repro.runtime.superblock.form_chains`.
-        """
+        """Run to RET; same contract as :func:`interpreter.execute`."""
         if not self._lens:
             from repro.isa.program import ProgramError
 
@@ -578,13 +534,6 @@ class FastProgram:
                     raise ExecutionLimitExceeded(limit_msg)
                 counts[e] += 1
                 idx = etarget[e]
-
-        if exit_counts is not None:
-            if len(exit_counts) < len(counts):
-                exit_counts.extend([0] * (len(counts) - len(exit_counts)))
-            for e, c in enumerate(counts):
-                if c:
-                    exit_counts[e] += c
 
         regs: dict[Reg, int] = {self._sp: R[self._sp_slot]}
         for reg, _ in init_items:

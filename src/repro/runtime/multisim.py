@@ -1,19 +1,21 @@
-"""Multi-lane timing simulation: decode once, advance K timing lanes.
+"""The timing model: decode once, advance K timing lanes.
 
-The trace-driven timing model (:class:`repro.arch.core.InOrderCore`)
-interleaves two kinds of work for every committed instruction: *shared*
-work whose outcome is identical for every hardware configuration that
-sees the same committed stream (data-cache hit/miss resolution, branch
-prediction), and *per-lane* work that depends on the resilience
-configuration (store-buffer occupancy, CLQ tracking, coloring,
-checkpoint/stall accounting). A design-space sweep evaluates many
-hardware points against the *same* trace, so the solo simulator repeats
-the shared work once per point.
+The trace-driven model of the in-order core interleaves two kinds of
+work for every committed instruction: *shared* work whose outcome is
+identical for every hardware configuration that sees the same committed
+stream (data-cache hit/miss resolution, branch prediction), and
+*per-lane* work that depends on the resilience configuration
+(store-buffer occupancy, CLQ tracking, coloring, checkpoint/stall
+accounting). A design-space sweep evaluates many hardware points
+against the *same* trace, so the shared work runs once per trace and
+the per-lane work once per point. A solo run
+(:class:`repro.arch.core.InOrderCore`, ``RunCache.stats``, ``repro
+run``) is a one-lane call.
 
 This module splits the two:
 
 * :func:`decode_feed` performs the shared pass once — it replays the
-  exact cache/predictor state machines a solo run would construct
+  exact cache/predictor state machines the object model constructs
   (:class:`~repro.arch.cache.MemoryHierarchy`,
   :class:`~repro.arch.branch.BimodalPredictor`; their update rules are
   inlined here for speed, the object model stays the reference
@@ -22,12 +24,13 @@ This module splits the two:
   are rewritten to dummy register slots. Configuration-independent
   stream totals (instruction/store/checkpoint/misprediction counts) are
   tallied once into a :data:`FeedMeta` so lanes never re-count them.
-* :func:`run_lane` advances one timing lane over a feed. It is a
-  flattened re-implementation of ``InOrderCore.run`` — store buffer,
-  region boundary buffer, CLQ and coloring maps live as local scalars
-  and dicts instead of objects — and is required to produce
-  **byte-identical** :class:`~repro.arch.stats.SimStats` to the solo
-  reference (enforced by ``tests/test_multisim_parity.py``).
+* :func:`run_lane` advances one timing lane over a feed. Store
+  buffer, region boundary buffer, CLQ and coloring maps live as local
+  scalars and dicts instead of objects; it is required to produce
+  **byte-identical** :class:`~repro.arch.stats.SimStats` to the
+  object-model reference in ``tests/timing_reference.py``, which
+  composes the ``repro.arch`` structures directly (enforced by
+  ``tests/test_multisim_parity.py``).
 * :func:`run_lanes` is the public entry: one decode per shared-work
   group, then every lane of the group.
 
@@ -55,7 +58,7 @@ INF = float("inf")
 # Absent source operands are rewritten to a pinned always-ready slot and
 # absent destinations to a write-only scratch slot, so the lane kernel's
 # operand path has no validity branches. Trace register indices are
-# < 2048 (the solo model sizes its scoreboard accordingly).
+# < 2048 (the object-model reference sizes its scoreboard accordingly).
 DUMMY_SRC = 2048
 DUMMY_DST = 2049
 _NREGS = 2050
@@ -97,10 +100,10 @@ def decode_feed(
     """Shared decode pass: resolve cache latencies and branch outcomes.
 
     Returns the feed, the memory-hierarchy counters (identical to
-    ``hierarchy.stats()`` of a solo run over the same trace, because the
-    access sequence is replayed verbatim: loads always probe, regular
-    stores always touch, checkpoint stores touch only on a
-    non-resilient core), and the stream totals (:data:`FeedMeta`).
+    ``hierarchy.stats()`` of the object model over the same trace,
+    because the access sequence is replayed verbatim: loads always
+    probe, regular stores always touch, checkpoint stores touch only on
+    a non-resilient core), and the stream totals (:data:`FeedMeta`).
     """
     # Construct the real objects for parameter validation and derived
     # geometry, then run their update rules inline on local state: the
@@ -323,11 +326,10 @@ def run_lane(  # noqa: C901
 ) -> SimStats:
     """Advance one timing lane over a pre-decoded feed.
 
-    Byte-identical to ``InOrderCore(core, res).run(trace)`` followed by
-    ``stats.cache = hierarchy.stats()`` — the store buffer, RBB, CLQ and
-    coloring semantics below are flattened transcriptions of
-    ``repro.arch.{store_buffer,rbb,clq,coloring}`` with the
-    fault-injection paths (which a timing run never exercises) elided.
+    The store buffer, RBB, CLQ and coloring semantics below are
+    flattened transcriptions of ``repro.arch.{store_buffer,rbb,clq,
+    coloring}`` with the fault-injection paths (which a timing run never
+    exercises) elided.
     Stream totals that do not depend on the lane configuration come
     from ``meta`` (tallied once at decode), so the loop touches only
     timing state.
@@ -929,7 +931,8 @@ def run_lane(  # noqa: C901
     stats.instructions = n_instr
     stats.sb_stall_cycles = sb_stall
     stats.data_stall_cycles = data_stall
-    # Exact: the solo model adds the integer penalty once per miss.
+    # Exact: the object-model reference adds the integer penalty once
+    # per miss.
     stats.branch_stall_cycles = n_miss * float(mispredict)
     stats.stores_total = n_st
     stats.checkpoints_total = n_ckpt

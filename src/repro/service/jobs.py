@@ -204,7 +204,7 @@ _SCHEMAS: dict[str, dict[str, tuple[Any, Any]]] = {
         "wcdl": (10, _int(1)),
         "sb": (4, _int(1)),
         "scheme": ("turnpike", _str_choice("turnpike", "turnstile", "baseline")),
-        "backend": ("fast", _str_choice("fast", "codegen", "reference")),
+        "backend": ("fast", _str_choice("fast", "reference")),
     },
     "inject": {
         "uid": ("SPLASH3.radix", _uid),

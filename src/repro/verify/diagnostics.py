@@ -41,8 +41,9 @@ class Location:
 
     ``index`` is the position within the block (``-1`` for findings that
     apply to the block or program as a whole). ``uid`` carries the
-    instruction's stable uid when one exists, so findings survive
-    instruction re-ordering between compiles.
+    instruction's uid when one exists, so rules can key findings by
+    instruction. Uids come from a process-global counter, so serialized
+    reports leave them out: block and index locate the instruction.
     """
 
     program: str
@@ -90,8 +91,6 @@ class Diagnostic:
             "index": self.location.index,
             "message": self.message,
         }
-        if self.location.uid is not None:
-            out["uid"] = self.location.uid
         if self.hint:
             out["hint"] = self.hint
         return out

@@ -10,7 +10,7 @@ Covers the tentpole's storage/concurrency contract:
   touched);
 * ``prepared()`` under thread contention with interleaved ``clear()``
   never corrupts state, and ``clear()`` leaves the disk layer intact;
-* ``simulate_many`` returns identical stats sharded or sequential;
+* ``warm_suite`` fills the persistent layer through the sweep engine;
 * shard-merge arithmetic (``SimStats.merge`` / ``merge_stats`` /
   ``CLQStats.merge``) is exact.
 """
@@ -32,7 +32,6 @@ from repro.harness.runner import (
     RunCache,
     _baseline_config,
     resolve_workers,
-    simulate_many,
     turnpike_scheme,
     warm_suite,
 )
@@ -120,7 +119,6 @@ class TestArtifactCache:
             "facts": lambda key: disk_cache.store_facts(key, FACTS),
             "golden": lambda key: disk_cache.store_golden(key, {"g": key}),
             "vuln": lambda key: disk_cache.store_vuln(key, {"uid": UID}),
-            "codegen": lambda key: disk_cache.store_codegen(key, "# m\n"),
         }
         assert set(writers) == set(ArtifactCache.KINDS)
         # A distinct count per kind, so no kind is counted as another.
@@ -136,6 +134,23 @@ class TestArtifactCache:
         assert disk_cache.clear() == sum(want.values())
         assert disk_cache.artifact_paths() == []
         assert disk_cache.generation_path.exists()
+
+    def test_stale_codegen_modules_are_cleared(self, disk_cache):
+        # Modules of the retired codegen backend are no artifact kind,
+        # yet clear and a generation change must still reclaim them.
+        def seed():
+            (disk_cache.root / f"codegen-{'a' * 40}.py").write_text("# m\n")
+
+        keep = disk_cache.root / "codegen-notes.py"
+        keep.write_text("# not an artifact\n")
+        seed()
+        assert disk_cache.clear() == 1
+        seed()
+        disk_cache.generation_path.write_text("0\n")  # a dead generation
+        assert disk_cache.sync_generation() == 1
+        assert sorted(p.name for p in disk_cache.root.iterdir()) == [
+            "GENERATION", "codegen-notes.py",
+        ]
 
     def test_default_disabled_by_env(self, monkeypatch):
         for value in ("0", "off", "none", ""):
@@ -275,7 +290,7 @@ class TestEntriesAndInfoDeterminism:
         assert cli_main(["cache", "info"]) == 0
         assert (
             "artifacts: 2 (0 traces, 0 stats, 1 facts, 0 goldens, "
-            "1 vulns, 0 codegens)"
+            "1 vulns)"
         ) in capsys.readouterr().out
 
 
@@ -290,7 +305,7 @@ class TestRunCachePersistence:
         # A fresh in-process cache over the same disk layer must serve
         # the stats, the program facts and the prepared trace without
         # ever building a workload, compiling, tallying a trace or
-        # running the timing core again.
+        # running a timing lane again.
         import repro.harness.runner as runner_mod
 
         def boom(*args, **kwargs):
@@ -300,7 +315,7 @@ class TestRunCachePersistence:
         monkeypatch.setattr(runner_mod, "compile_baseline", boom)
         monkeypatch.setattr(runner_mod, "compile_program", boom)
         monkeypatch.setattr(runner_mod, "TraceSummary", boom)
-        monkeypatch.setattr(runner_mod.InOrderCore, "run", boom)
+        monkeypatch.setattr(runner_mod, "run_lanes", boom)
         warm = RunCache(persistent=disk_cache)
         assert warm.stats(UID, config, hardware) == want
         assert warm.program_facts(UID, config) == want_facts
@@ -409,25 +424,6 @@ class TestSharding:
         assert resolve_workers(None) == 1
         assert resolve_workers(0) >= 1  # one per CPU
 
-    def test_simulate_many_parallel_matches_sequential(
-        self, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "shard-cache"))
-        tp_c, tp_h = turnpike_scheme()
-        base_c = _baseline_config()
-        base_h = ResilienceHardwareConfig.baseline()
-        jobs = [
-            (UID, tp_c, tp_h),
-            ("SPLASH3.radix", tp_c, tp_h),
-            (UID, base_c, base_h),
-            ("SPLASH3.radix", base_c, base_h),
-        ]
-        sequential = simulate_many(
-            jobs, workers=1, cache=RunCache(persistent=None)
-        )
-        sharded = simulate_many(jobs, workers=2)
-        assert sharded == sequential
-
     def test_warm_suite_quick(self, monkeypatch, tmp_path):
         # GLOBAL_CACHE binds its persistent layer at import time, so the
         # sequential path needs the instance swapped, not just the env.
@@ -442,9 +438,11 @@ class TestSharding:
             (UID, "baseline"), (UID, "turnstile"), (UID, "turnpike")
         }
         assert all(s.cycles > 0 for s in results.values())
-        # the persistent layer now holds every artefact
+        # The persistent layer now holds every artefact: one trace per
+        # scheme, and each point's stats under its sweep key and its
+        # config key.
         info = disk.info()
-        assert info["traces"] == 3 and info["stats"] == 3
+        assert info["traces"] == 3 and info["stats"] == 6
 
 
 class TestShardMerge:

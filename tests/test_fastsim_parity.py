@@ -1,34 +1,26 @@
-"""Differential parity wall: reference vs fastsim vs codegen.
+"""Differential parity wall: reference interpreter vs fastsim.
 
 The fast backend (:mod:`repro.runtime.fastsim`) compiles each basic
-block to a closed-over Python step function and replays it; the gen-2
-codegen backend (:mod:`repro.runtime.codegen`) goes further and fuses
-trace-hot block chains into rendered superblock modules with
-guard-and-bail mispredict handling. Both are required to be
-*bit-identical* to the golden interpreter — same dynamic trace, same
-memory image, same final registers, same step count — and therefore to
-produce identical timing statistics (cycles, store-buffer stalls,
-CLQ/coloring counters) when the trace is fed to the in-order core.
+block to a closed-over Python step function and replays it. It is
+required to be *bit-identical* to the golden interpreter — same dynamic
+trace, same memory image, same final registers, same step count — and
+therefore to produce identical timing statistics (cycles, store-buffer
+stalls, CLQ/coloring counters) when the trace is fed to the in-order
+core.
 
-This suite enforces that three ways on every benchmark of the 36-entry
-suite (reference / fastsim / codegen, with the codegen run taken twice
-so the *superblock* path executes, not just the block-level warmup), on
+This suite enforces that on every benchmark of the 36-entry suite, on
 the full scheme sweep for the quick subset, and on randomized programs
-from the hypothesis generator shared with ``test_properties`` — plus a
-fuzz section that deliberately diverges the executed input from the
-profiled one to stress the superblock bail paths.
+from the hypothesis generator shared with ``test_properties``.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
 
 from repro.arch import CoreConfig, InOrderCore, ResilienceHardwareConfig
 from repro.compiler.config import turnpike_config, turnstile_config
 from repro.compiler.pipeline import compile_baseline, compile_program
-from repro.isa.builder import ProgramBuilder
-from repro.runtime.codegen import CodegenProgram
 from repro.runtime.fastsim import FastProgram, compile_fast, execute_fast
 from repro.runtime.interpreter import ExecutionLimitExceeded, execute
 from repro.runtime.memory import Memory
@@ -52,13 +44,7 @@ def _assert_matches(res, ref, collect_trace):
 
 
 def assert_parity(program, make_memory, collect_trace=True, max_steps=2_000_000):
-    """Three-way differential run on fresh memories; compare everything.
-
-    The codegen backend runs twice through one :class:`CodegenProgram`
-    (process-local, forced-aggressive chain formation): the first run is
-    the block-level warmup whose profile forms the superblocks, the
-    second actually dispatches through them. Both must match reference.
-    """
+    """Differential run on fresh memories; compare everything."""
     ref = execute(
         program, make_memory(), max_steps=max_steps, collect_trace=collect_trace
     )
@@ -66,15 +52,6 @@ def assert_parity(program, make_memory, collect_trace=True, max_steps=2_000_000)
         program, make_memory(), max_steps=max_steps, collect_trace=collect_trace
     )
     _assert_matches(fast, ref, collect_trace)
-    cg = CodegenProgram(program, cache=None, min_count=1, ratio=0.0)
-    warm = cg.execute(
-        make_memory(), max_steps=max_steps, collect_trace=collect_trace
-    )
-    _assert_matches(warm, ref, collect_trace)
-    hot = cg.execute(
-        make_memory(), max_steps=max_steps, collect_trace=collect_trace
-    )
-    _assert_matches(hot, ref, collect_trace)
     return ref, fast
 
 
@@ -140,98 +117,6 @@ class TestRandomProgramParity:
             compile_program(prog, turnpike_config()),
         ):
             assert_parity(compiled.program, Memory)
-
-
-def _memory_driven_program(n_loops: int = 2, trips_addr: int = 0x100):
-    """Loops whose trip counts are *loaded from memory*: the same program
-    follows different hot paths under different inputs, which is exactly
-    what the superblock guards have to survive."""
-    b = ProgramBuilder("memdriven")
-    b.begin_block("entry")
-    base = b.li(0x1000)
-    taddr = b.li(trips_addr)
-    acc = b.li(1)
-    slot = 0
-    for loop_idx in range(n_loops):
-        limit = b.load(taddr, offset=4 * loop_idx)
-        i = b.li(0)
-        header = b.fresh_label(f"L{loop_idx}_h")
-        exit_label = b.fresh_label(f"L{loop_idx}_x")
-        b.jmp(header)
-        b.begin_block(header)
-        acc = b.add(acc, i, dest=acc)
-        acc = b.xor(acc, limit, dest=acc)
-        b.store(acc, base, offset=4 * slot)
-        slot += 1
-        b.addi(i, 1, dest=i)
-        b.blt(i, limit, header, exit_label)
-        b.begin_block(exit_label)
-    b.store(acc, base, offset=4 * slot)
-    b.ret()
-    return b.finish()
-
-
-def _memory_with_trips(trips, trips_addr: int = 0x100) -> Memory:
-    mem = Memory()
-    for k, t in enumerate(trips):
-        mem.store(trips_addr + 4 * k, t)
-    return mem
-
-
-class TestSuperblockBailPaths:
-    """Profile with input A, execute with input B: guards must bail."""
-
-    def test_forced_mid_superblock_bail_is_bit_identical(self):
-        prog = _memory_driven_program()
-        cg = CodegenProgram(prog, cache=None, min_count=1, ratio=0.0)
-        # Warmup on a long-trip input: back-edges dominate the profile,
-        # so the loop bodies fuse into cycle-unrolled superblocks.
-        cg.execute(_memory_with_trips([12, 9]), collect_trace=True)
-        assert cg.chains, "warmup failed to form any superblock chain"
-        # Execute on a short-trip input: every loop now exits from the
-        # middle of a fused chain, forcing guard bails.
-        ref = execute(prog, _memory_with_trips([5, 2]), collect_trace=True)
-        hot = cg.execute(_memory_with_trips([5, 2]), collect_trace=True)
-        assert cg.sb_dispatches > 0, "superblock path never dispatched"
-        assert cg.bail_count > 0, "divergent input did not exercise a bail"
-        _assert_matches(hot, ref, collect_trace=True)
-
-    @given(
-        profile_trips=st.lists(st.integers(1, 14), min_size=2, max_size=2),
-        run_trips=st.lists(st.integers(1, 14), min_size=2, max_size=2),
-    )
-    @settings(
-        max_examples=40,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_fuzz_profile_execute_divergence(self, profile_trips, run_trips):
-        prog = _memory_driven_program()
-        cg = CodegenProgram(prog, cache=None, min_count=1, ratio=0.0)
-        cg.execute(_memory_with_trips(profile_trips), collect_trace=True)
-        for collect in (True, False):
-            ref = execute(
-                prog, _memory_with_trips(run_trips), collect_trace=collect
-            )
-            hot = cg.execute(
-                _memory_with_trips(run_trips), collect_trace=collect
-            )
-            _assert_matches(hot, ref, collect)
-
-    @given(random_programs(), st.integers(0, 3))
-    @settings(
-        max_examples=20,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-    )
-    def test_fuzz_random_programs_survive_repeated_hot_runs(self, prog, reruns):
-        """Random programs through the superblock path, repeatedly: the
-        module (and its deopt bookkeeping) must stay bit-identical."""
-        ref = execute(prog, Memory(), collect_trace=True)
-        cg = CodegenProgram(prog, cache=None, min_count=1, ratio=0.0)
-        for _ in range(2 + reruns):
-            hot = cg.execute(Memory(), collect_trace=True)
-            _assert_matches(hot, ref, collect_trace=True)
 
 
 class TestFastProgramBehaviour:

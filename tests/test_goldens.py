@@ -3,12 +3,9 @@
 For six representative benchmarks (the quick subset) this test pins a
 compact :class:`~repro.runtime.trace.TraceSummary` snapshot — dynamic
 instruction mix, store disposition, region count, step total — for both
-the baseline and the Turnpike build, plus the codegen backend's
-superblock formation for the Turnpike build: the exact fused chains
-(as exit-id sequences), the bail count and the superblock dispatch
-count of a post-warmup run. Any compiler, interpreter or superblock-
-formation change that shifts dynamic behaviour shows up as a readable
-JSON diff here instead of as a silent drift in the figure sweeps.
+the baseline and the Turnpike build. Any compiler or interpreter change
+that shifts dynamic behaviour shows up as a readable JSON diff here
+instead of as a silent drift in the figure sweeps.
 
 To regenerate after an *intentional* change::
 
@@ -26,7 +23,6 @@ import pytest
 
 from repro.compiler.config import turnpike_config
 from repro.compiler.pipeline import compile_baseline, compile_program
-from repro.runtime.codegen import CodegenProgram
 from repro.runtime.fastsim import execute_fast
 from repro.runtime.trace import TraceSummary
 from repro.workloads.generator import build_workload
@@ -64,18 +60,6 @@ def build_snapshot(uid: str) -> dict:
             compiled.program, workload.fresh_memory(), collect_trace=True
         )
         snapshot[scheme] = _summarize(result.trace, result.steps)
-        if scheme == "turnpike":
-            # Pin the codegen backend's superblock formation (default
-            # formation thresholds): one warmup run profiles, the second
-            # dispatches through the fused chains.
-            cg = CodegenProgram(compiled.program, cache=None)
-            cg.execute(workload.fresh_memory())
-            cg.execute(workload.fresh_memory())
-            snapshot["codegen"] = {
-                "chains": cg.chains,
-                "bails": cg.bail_count,
-                "sb_dispatches": cg.sb_dispatches,
-            }
     return snapshot
 
 

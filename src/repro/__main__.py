@@ -7,15 +7,13 @@ Commands:
                              — compile + simulate one benchmark
   inject [uid] [--count N] [--wcdl N] [--targets a,b] [--workers N]
          [--manifest PATH] [--resume] [--export PATH]
-         [--accel on|off] [--snapshot-interval N] [--shards LO:HI]
+         [--accel on|off] [--snapshot-interval N]
          [--sample] [--ci-width W] [--confidence C] [--token-rate N]
                              — differential fault-injection campaign
                                across protocol variants (parallel,
                                resumable via the manifest; snapshot
                                acceleration on by default and
-                               observationally invisible; --shards
-                               restricts to a shard-id range — the
-                               fabric's lease primitive; --sample
+                               observationally invisible; --sample
                                switches to stratified importance
                                sampling over the vulnerability map,
                                reporting AVF with a confidence interval
@@ -48,16 +46,9 @@ Commands:
                                generations)
   sensors [--clock GHZ]      — sensor-count vs WCDL table
   serve [--port P] [--workers N] [--queue-limit N] [--journal DIR]
-        [--role local|coordinator|worker] [--coordinator H:P]
-        [--coordinator-journal DIR] [--node-id ID]
                              — run the async batch job service
                                (HTTP/JSON; queue + dedup + crash-safe
-                               journal; drains gracefully on SIGTERM).
-                               --role coordinator scatters campaigns
-                               across registered worker nodes; --role
-                               worker enrolls this server with a
-                               coordinator via heartbeats
-  nodes [--json]             — list a coordinator's worker nodes
+                               journal; drains gracefully on SIGTERM)
   submit run|inject|lint|vuln ... [--wait] [--priority P]
          [--endpoint H:P]   — submit a job to a running service
   jobs [--json] [--mine]     — list service jobs
@@ -121,16 +112,6 @@ def _cmd_inject(args) -> int:
     if args.resume and args.manifest is None:
         print("--resume requires --manifest", file=sys.stderr)
         return 2
-    only_shards = None
-    if args.shards is not None:
-        from repro.service.jobs import parse_shard_range
-
-        try:
-            lo, hi = parse_shard_range(args.shards)
-        except ValueError as exc:
-            print(f"invalid --shards: {exc}", file=sys.stderr)
-            return 2
-        only_shards = set(range(lo, hi))
 
     if args.snapshot_interval is None:
         accel = AccelOptions(enabled=args.accel == "on")
@@ -141,10 +122,10 @@ def _cmd_inject(args) -> int:
         )
     sampling = None
     if args.sample:
-        if args.resume or args.manifest or args.shards:
+        if args.resume or args.manifest:
             print(
                 "inject: --sample is adaptive and incompatible with "
-                "--resume/--manifest/--shards",
+                "--resume/--manifest",
                 file=sys.stderr,
             )
             return 2
@@ -171,7 +152,6 @@ def _cmd_inject(args) -> int:
             progress=lambda done, total: print(
                 f"  shard {done}/{total} done", file=sys.stderr
             ),
-            only_shards=only_shards,
             sampling=sampling,
         )
     except ValueError as exc:  # e.g. manifest/spec mismatch on --resume
@@ -451,52 +431,7 @@ def _cmd_sweep(args) -> int:
         payload["elapsed_seconds"] = round(elapsed, 3)
         print(_json.dumps(payload, indent=2, sort_keys=True, default=str))
         return 0
-    renderers = {
-        "fig04": lambda r: rep.format_series_table(
-            [r[40], r[4]], value_format="{:.3f}", aggregate="mean",
-            title="Figure 4 - checkpoint ratio vs SB size"),
-        "fig14_15": lambda r: "\n".join((
-            rep.format_series_table(
-                [r["overhead"]["ideal"], r["overhead"]["compact"]],
-                value_format="{:.3f}",
-                title="Figure 14 - ideal vs compact CLQ overhead"),
-            rep.format_series_table(
-                [r["warfree_ratio"]["ideal"], r["warfree_ratio"]["compact"]],
-                value_format="{:.3f}",
-                title="Figure 15 - WAR-free release ratio"),
-        )),
-        "fig18": lambda r: "\n".join(
-            f"{clock} GHz: " + "  ".join(
-                f"{n}->{lat:.1f}cy" for n, lat in points)
-            for clock, points in r.items()),
-        "fig19": lambda r: rep.format_series_table(
-            [r[w] for w in sorted(r)],
-            title="Figure 19 - Turnpike overhead vs WCDL"),
-        "fig20": lambda r: rep.format_series_table(
-            [r[w] for w in sorted(r)],
-            title="Figure 20 - Turnstile overhead vs WCDL"),
-        "fig21": lambda r: rep.format_series_table(
-            r, title="Figure 21 - optimization ablation"),
-        "fig22": lambda r: rep.format_series_table(
-            [r["turnstile"][s] for s in sorted(r["turnstile"])]
-            + [r["turnpike"][s] for s in sorted(r["turnpike"])],
-            title="Figure 22 - SB sensitivity"),
-        "fig23": lambda r: rep.format_breakdown_table(r),
-        "fig24": lambda r: rep.format_mapping_table(
-            r, headers=("average", "maximum"),
-            title="Figure 24 - CLQ occupancy"),
-        "fig25": lambda r: rep.format_series_table(
-            [r[s] for s in sorted(r)], value_format="{:.3f}",
-            title="Figure 25 - CLQ size sensitivity"),
-        "fig26": lambda r: rep.format_mapping_table(
-            {k: (v[0], 100 * v[1]) for k, v in r.items()},
-            headers=("region size", "growth %"),
-            title="Figure 26 - region size / code growth"),
-        "table1": rep.format_table1,
-    }
-    for name, result in results.items():
-        print(renderers[name](result))
-        print()
+    print(rep.format_figure_suite(results), end="")
     print(
         f"swept {len(results)} figure(s) in {elapsed:.1f}s "
         f"with {workers} worker(s)"
@@ -653,12 +588,6 @@ def _cmd_result(args) -> int:
     return cmd_result(args)
 
 
-def _cmd_nodes(args) -> int:
-    from repro.service.client import cmd_nodes
-
-    return cmd_nodes(args)
-
-
 def _add_client_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--endpoint",
@@ -763,13 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="ticks between golden-run snapshots (<= 0: fingerprints only, "
         "no fast-forward)",
-    )
-    inj_p.add_argument(
-        "--shards",
-        default=None,
-        metavar="LO:HI",
-        help="run only shard ids [LO, HI) — a campaign lease; results "
-        "checkpoint into --manifest for later merge/resume",
     )
     inj_p.add_argument(
         "--sample",
@@ -1088,63 +1010,6 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign manifests; default REPRO_SERVICE_DIR or "
         "~/.cache/repro-turnpike/service)",
     )
-    serve_p.add_argument(
-        "--role",
-        choices=("local", "coordinator", "worker"),
-        default="local",
-        help="local: single-node server (default); coordinator: scatter "
-        "campaigns across worker nodes; worker: enroll with a coordinator",
-    )
-    serve_p.add_argument(
-        "--coordinator",
-        default=None,
-        metavar="HOST:PORT",
-        help="worker role: the coordinator's explicit endpoint",
-    )
-    serve_p.add_argument(
-        "--coordinator-journal",
-        default=None,
-        metavar="DIR",
-        help="worker role: discover (and follow) the coordinator via the "
-        "endpoint file in this journal directory",
-    )
-    serve_p.add_argument(
-        "--node-id",
-        default=None,
-        help="worker role: fabric identity (default: node-<pid>)",
-    )
-    serve_p.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=1.0,
-        help="worker role: seconds between heartbeats to the coordinator",
-    )
-    serve_p.add_argument(
-        "--node-timeout",
-        type=float,
-        default=10.0,
-        help="coordinator role: seconds without a heartbeat before a node "
-        "is declared dead and its leases re-dispatched",
-    )
-    serve_p.add_argument(
-        "--lease-timeout",
-        type=float,
-        default=300.0,
-        help="coordinator role: hard per-lease deadline on one node",
-    )
-    serve_p.add_argument(
-        "--steal-after",
-        type=float,
-        default=60.0,
-        help="coordinator role: seconds before a straggling lease is "
-        "duplicated onto another node (work stealing)",
-    )
-    serve_p.add_argument(
-        "--lease-shards",
-        type=int,
-        default=1,
-        help="coordinator role: campaign shards per lease",
-    )
 
     submit_p = sub.add_parser(
         "submit", help="submit a job to a running service"
@@ -1203,7 +1068,6 @@ def build_parser() -> argparse.ArgumentParser:
                 type=int,
                 default=None,
             )
-            kp.add_argument("--shards", default=None, metavar="LO:HI")
             kp.add_argument("--ecc", default=None, metavar="CODE")
             kp.add_argument("--upset", default=None, metavar="PATTERN")
         elif kind == "lint":
@@ -1272,12 +1136,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mine", action="store_true", help="only this client's jobs"
     )
 
-    nodes_p = sub.add_parser(
-        "nodes", help="list a coordinator's registered worker nodes"
-    )
-    _add_client_flags(nodes_p)
-    nodes_p.add_argument("--json", action="store_true")
-
     result_p = sub.add_parser("result", help="fetch one job's output")
     _add_client_flags(result_p)
     result_p.add_argument("job_id")
@@ -1305,7 +1163,6 @@ def main(argv: list[str] | None = None) -> int:
         "submit": _cmd_submit,
         "jobs": _cmd_jobs,
         "result": _cmd_result,
-        "nodes": _cmd_nodes,
     }
     return handlers[args.command](args)
 

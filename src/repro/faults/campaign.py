@@ -572,13 +572,12 @@ class CampaignRunner:
         derived from ``(seed, index)`` and aggregation sorts by index.
         ``progress(done, total)`` is invoked after every shard.
 
-        ``only_shards`` restricts execution to a subset of shard ids —
-        the *lease* primitive of the distributed fabric: a worker node
-        computes its leased shards into a manifest, and whoever merges
-        the manifests (or resumes them) gets byte-identical aggregates
-        because shard contents depend only on ``(seed, index)``. The
-        returned report covers whatever the manifest then holds, which
-        for a lease run is deliberately partial.
+        ``only_shards`` restricts execution to a subset of shard ids.
+        Shard contents depend only on ``(seed, index)``, so a later
+        resume over the same manifest fills in the rest and the final
+        aggregate is byte-identical to a single full run. The returned
+        report covers whatever the manifest then holds, which for a
+        restricted run is deliberately partial.
 
         With sampling enabled the runner REPLACES index enumeration with
         the stratified adaptive estimator: no per-index records, no
@@ -588,7 +587,7 @@ class CampaignRunner:
             if resume or only_shards is not None:
                 raise ValueError(
                     "sampled campaigns are adaptive: resume and shard "
-                    "leases only apply to enumerated index campaigns"
+                    "subsets only apply to enumerated index campaigns"
                 )
             return self._run_sampled(progress)
         manifest = self._load_manifest(resume)
@@ -746,7 +745,6 @@ def execute_campaign(
     resume: bool = False,
     export_path: str | Path | None = None,
     progress: Callable[[int, int], None] | None = None,
-    only_shards: "set[int] | None" = None,
     sampling: SamplingOptions | None = None,
 ) -> tuple[CampaignReport, str]:
     """Run one differential campaign end-to-end; the single entry point
@@ -760,10 +758,7 @@ def execute_campaign(
     runner = CampaignRunner(
         spec, manifest_path=manifest_path, accel=accel, sampling=sampling
     )
-    report = runner.run(
-        workers=workers, resume=resume, progress=progress,
-        only_shards=only_shards,
-    )
+    report = runner.run(workers=workers, resume=resume, progress=progress)
     if export_path is not None:
         from repro.harness.export import campaign_to_json
 

@@ -84,16 +84,6 @@ def code_digest() -> str:
     return _code_digest
 
 
-def sync_generation() -> int:
-    """Sync the default cache's generation marker; 0 when disabled.
-
-    Fabric worker nodes call this at startup so a node whose checkout
-    moved on prunes dead-generation artifacts before taking leases.
-    """
-    cache = ArtifactCache.default()
-    return cache.sync_generation() if cache is not None else 0
-
-
 @dataclasses.dataclass(frozen=True)
 class ProgramFacts:
     """What the compiler-side figures read about one compiled program.
@@ -376,9 +366,10 @@ class ArtifactCache:
         records the digest the cache was last used with: on mismatch
         every artifact is pruned (they all belong to dead generations);
         on first adoption the marker is written without pruning, since
-        a fabric node joining an existing shared cache must not wipe
-        artifacts a same-generation sibling is still using. Returns
-        the number of artifacts removed.
+        nothing records which generation wrote the existing artifacts
+        and they may well be current (say, filled by this checkout's
+        figure runs before its first ``cache prune``). Returns the
+        number of artifacts removed.
         """
         digest = code_digest()[:16]
         try:

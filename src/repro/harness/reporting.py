@@ -110,3 +110,55 @@ def format_table1(table1) -> str:
         f"{100 * energy_ratio:>13.0f}%"
     )
     return "\n".join(lines)
+
+
+def format_figure_suite(results: dict[str, object]) -> str:
+    """A ``figure_suite`` result as text: each figure in suite order,
+    each followed by a blank line. ``repro sweep`` prints exactly this
+    before its timing line."""
+    renderers = {
+        "fig04": lambda r: format_series_table(
+            [r[40], r[4]], value_format="{:.3f}", aggregate="mean",
+            title="Figure 4 - checkpoint ratio vs SB size"),
+        "fig14_15": lambda r: "\n".join((
+            format_series_table(
+                [r["overhead"]["ideal"], r["overhead"]["compact"]],
+                value_format="{:.3f}",
+                title="Figure 14 - ideal vs compact CLQ overhead"),
+            format_series_table(
+                [r["warfree_ratio"]["ideal"], r["warfree_ratio"]["compact"]],
+                value_format="{:.3f}",
+                title="Figure 15 - WAR-free release ratio"),
+        )),
+        "fig18": lambda r: "\n".join(
+            f"{clock} GHz: " + "  ".join(
+                f"{n}->{lat:.1f}cy" for n, lat in points)
+            for clock, points in r.items()),
+        "fig19": lambda r: format_series_table(
+            [r[w] for w in sorted(r)],
+            title="Figure 19 - Turnpike overhead vs WCDL"),
+        "fig20": lambda r: format_series_table(
+            [r[w] for w in sorted(r)],
+            title="Figure 20 - Turnstile overhead vs WCDL"),
+        "fig21": lambda r: format_series_table(
+            r, title="Figure 21 - optimization ablation"),
+        "fig22": lambda r: format_series_table(
+            [r["turnstile"][s] for s in sorted(r["turnstile"])]
+            + [r["turnpike"][s] for s in sorted(r["turnpike"])],
+            title="Figure 22 - SB sensitivity"),
+        "fig23": format_breakdown_table,
+        "fig24": lambda r: format_mapping_table(
+            r, headers=("average", "maximum"),
+            title="Figure 24 - CLQ occupancy"),
+        "fig25": lambda r: format_series_table(
+            [r[s] for s in sorted(r)], value_format="{:.3f}",
+            title="Figure 25 - CLQ size sensitivity"),
+        "fig26": lambda r: format_mapping_table(
+            {k: (v[0], 100 * v[1]) for k, v in r.items()},
+            headers=("region size", "growth %"),
+            title="Figure 26 - region size / code growth"),
+        "table1": format_table1,
+    }
+    return "".join(
+        f"{renderers[name](result)}\n\n" for name, result in results.items()
+    )

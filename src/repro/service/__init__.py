@@ -4,7 +4,7 @@ Everything the reproduction can do from the CLI — timing simulation
 (``run``), differential fault-injection campaigns (``inject``), static
 resilience verification (``lint``) — is a pure function of the job spec
 and the simulator source tree. This package turns those one-shot
-invocations into a long-lived, multi-tenant batch service:
+invocations into a long-lived, multi-tenant batch service on one host:
 
 * :mod:`repro.service.jobs` — typed job specs with canonical argv and
   content-addressed dedup keys (source digest + frozen spec, the same
@@ -24,25 +24,12 @@ invocations into a long-lived, multi-tenant batch service:
   (``repro serve``): dispatch, per-job timeout, bounded retry with
   exponential backoff, graceful drain on SIGTERM;
 * :mod:`repro.service.client` — the stdlib HTTP client behind
-  ``repro submit`` / ``repro jobs`` / ``repro result`` /
-  ``repro nodes``.
-
-The multi-node **campaign fabric** builds on that single-node core:
-
-* :mod:`repro.service.backoff` — the one jittered-exponential-backoff
-  policy shared by server retries, client calls, and fabric transport;
-* :mod:`repro.service.transport` — the HTTP/JSON dialect every fabric
-  process speaks, with per-request timeouts and idempotent retry;
-* :mod:`repro.service.coordinator` — routes jobs across registered
-  worker nodes by consistent hashing over content-addressed keys,
-  scatters campaigns as shard leases, re-dispatches leases of dead
-  nodes, steals stragglers, and degrades to local execution when no
-  workers are reachable — always finalizing locally so aggregates stay
-  byte-identical to a single-node run;
-* :mod:`repro.service.node` — the worker-node daemon: a job server
-  plus a heartbeat that enrolls it with a coordinator;
-* :mod:`repro.service.chaos` — the kill/partition harness that proves
-  the byte-parity claim under induced failures.
+  ``repro submit`` / ``repro jobs`` / ``repro result``;
+* :mod:`repro.service.transport` — the HTTP/JSON wire format, written
+  once for the server and the client;
+* :mod:`repro.service.backoff` — the jittered-exponential-backoff
+  policy shared by the server's worker-death retry and the client's
+  connection retry.
 
 The wire protocol is deliberately plain HTTP/1.1 with JSON bodies over
 TCP, implemented on stdlib asyncio streams — no third-party

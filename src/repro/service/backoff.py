@@ -1,10 +1,10 @@
 """Jittered exponential backoff with attempt and deadline budgets.
 
-One policy object serves every retry loop in the service stack — the
-server's worker-death retry, the client's transient-connection retry,
-the fabric transport, and the worker node's heartbeat reconnect — so
-the growth curve, the jitter discipline, and the budget semantics are
-defined exactly once.
+One policy object serves both retry loops in the service stack — the
+server's worker-death retry and the client's transient-connection
+retry (:func:`repro.service.transport.call`) — so the growth curve,
+the jitter discipline, and the budget semantics are defined exactly
+once.
 
 Jitter is symmetric (``delay * (1 ± jitter)``): enough to de-correlate
 retry storms from many clients without making the schedule unbounded
@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -93,31 +93,3 @@ class Backoff:
             return None
         return delay
 
-
-def retry_call(
-    fn: Callable[[], Any],
-    policy: BackoffPolicy,
-    retry_on: tuple[type[BaseException], ...] | Iterable[type[BaseException]] = (OSError,),
-    rng: random.Random | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-    on_retry: Callable[[int, BaseException], None] | None = None,
-) -> Any:
-    """Call ``fn`` until it succeeds or the policy's budget runs out.
-
-    Only exceptions in ``retry_on`` are retried; anything else (and the
-    final exhausted failure) propagates to the caller unchanged.
-    ``on_retry(attempt, exc)`` fires before each sleep — the hook the
-    coordinator uses to count transport retries for ``/metrics``.
-    """
-    retry_on = tuple(retry_on)
-    schedule = Backoff(policy, rng=rng)
-    while True:
-        try:
-            return fn()
-        except retry_on as exc:
-            delay = schedule.next_delay()
-            if delay is None:
-                raise
-            if on_retry is not None:
-                on_retry(schedule.attempt, exc)
-            sleep(delay)

@@ -19,6 +19,7 @@ import os
 import sys
 import time
 from typing import Any
+from urllib.parse import urlencode
 
 from repro.service import transport
 from repro.service.backoff import BackoffPolicy
@@ -181,7 +182,7 @@ class ServiceClient:
         return payload["job"], bool(payload.get("deduped"))
 
     def jobs(self, client: str | None = None) -> list[dict[str, Any]]:
-        path = "/jobs" + (f"?client={client}" if client else "")
+        path = "/jobs" + (f"?{urlencode({'client': client})}" if client else "")
         return self.request("GET", path)["jobs"]
 
     def job(self, job_id: str) -> dict[str, Any]:
@@ -236,7 +237,7 @@ def _spec_from_args(args: Any) -> dict[str, Any]:
     for name in (
         "uid", "wcdl", "sb", "scheme", "backend",  # run / lint
         "count", "seed", "targets", "variants", "shard_size",
-        "accel", "snapshot_interval", "shards", "ecc", "upset",  # inject
+        "accel", "snapshot_interval", "ecc", "upset",  # inject
         "format", "strict", "upset_model",  # lint
         "figures", "benchmarks",  # sweep
         "codes", "structures", "patterns", "trials",  # ecc
@@ -317,35 +318,6 @@ def cmd_jobs(args: Any) -> int:
         print(
             f"{job['id']:<9} {job['kind']:<7} {job['state']:<10} "
             f"{job['attempts']:>3} {job['client'][:20]:<20} {brief}"
-        )
-    return 0
-
-
-def cmd_nodes(args: Any) -> int:
-    """Handler for ``repro nodes``: list a coordinator's worker nodes."""
-    try:
-        client = _client_from_args(args)
-        payload = client.request("GET", "/nodes")
-    except (ServiceError, ValueError, ConnectionError, OSError) as exc:
-        print(f"nodes failed: {exc}", file=sys.stderr)
-        return 2
-    nodes = payload.get("nodes", [])
-    if args.json:
-        print(json.dumps({"nodes": nodes}, indent=2, sort_keys=True))
-        return 0
-    if not nodes:
-        print("no worker nodes registered", file=sys.stderr)
-        return 0
-    print(
-        f"{'node':<18} {'endpoint':<22} {'state':<8} {'workers':>7} "
-        f"{'in_flight':>9} {'age_s':>7}"
-    )
-    for node in nodes:
-        endpoint = f"{node.get('host', '?')}:{node.get('port', '?')}"
-        print(
-            f"{node.get('id', '?'):<18} {endpoint:<22} "
-            f"{node.get('state', '?'):<8} {node.get('workers', 0):>7} "
-            f"{node.get('in_flight', 0):>9} {node.get('age_s', 0.0):>7.1f}"
         )
     return 0
 

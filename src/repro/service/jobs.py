@@ -86,22 +86,6 @@ def _csv(value: Any) -> str:
     return ",".join(part.strip() for part in value.split(",") if part.strip())
 
 
-def _opt_shard_range(value: Any) -> str | None:
-    """``"lo:hi"`` selecting shard ids ``[lo, hi)`` — a campaign lease."""
-    if value is None:
-        return None
-    if isinstance(value, str):
-        lo, sep, hi = value.partition(":")
-        if sep and lo.isdigit() and hi.isdigit() and int(lo) < int(hi):
-            return f"{int(lo)}:{int(hi)}"
-    raise ValueError(f"expected a shard range 'lo:hi' with lo < hi, got {value!r}")
-
-
-def parse_shard_range(value: str) -> tuple[int, int]:
-    lo, _, hi = _opt_shard_range(value).partition(":")  # type: ignore[union-attr]
-    return int(lo), int(hi)
-
-
 def _opt_figures(value: Any) -> str | None:
     """Comma-separated figure ids, canonicalised to suite order."""
     if value is None:
@@ -126,14 +110,6 @@ def _opt_uids(value: Any) -> str | None:
     for name in names:
         _uid(name)
     return ",".join(names)
-
-
-def _opt_dir(value: Any) -> str | None:
-    if value is None:
-        return None
-    if not isinstance(value, str) or not value.strip():
-        raise ValueError(f"expected a directory path, got {value!r}")
-    return value
 
 
 def _opt_ecc_code(value: Any) -> str | None:
@@ -218,12 +194,6 @@ _SCHEMAS: dict[str, dict[str, tuple[Any, Any]]] = {
         "snapshot_interval": (None, _opt_int),
         "ecc": (None, _opt_ecc_code),
         "upset": (None, _opt_upset),
-        # Fabric plumbing: a coordinator decomposes a campaign into
-        # shard *leases* — the same spec restricted to a shard-id range
-        # — and points them all at one shared manifest store so any
-        # node (or the coordinator itself) can resume/merge the work.
-        "shards": (None, _opt_shard_range),
-        "store_dir": (None, _opt_dir),
     },
     "lint": {
         "uid": (None, _opt_uid),
@@ -338,12 +308,6 @@ class JobSpec:
                 argv += ["--ecc", p["ecc"]]
             if p["upset"] is not None:
                 argv += ["--upset", p["upset"]]
-            if p["shards"] is not None:
-                argv += ["--shards", p["shards"]]
-            # store_dir is deliberately NOT part of the argv: it only
-            # tells the *service* where to place the manifest (shared
-            # fabric store vs local journal); the executed campaign is
-            # identical either way.
             return argv
         if self.kind == "vuln":
             return [

@@ -76,24 +76,11 @@ class ServiceMetrics:
             self.counters["deduped_in_flight"] + self.counters["deduped_cached"]
         )
 
-    def snapshot(
-        self,
-        queue_depth: int,
-        in_flight: int,
-        workers: int,
-        fabric: dict | None = None,
-    ) -> dict:
-        """The ``/metrics`` payload.
-
-        ``fabric`` is the coordinator's health section (per-node
-        liveness, lease re-dispatch/steal counters — see
-        :meth:`repro.service.coordinator.Coordinator.fabric_snapshot`);
-        single-node servers pass None and the key is omitted, so the
-        snapshot shape tells a dashboard which role it is scraping.
-        """
+    def snapshot(self, queue_depth: int, in_flight: int, workers: int) -> dict:
+        """The ``/metrics`` payload."""
         submitted = self.counters["submitted"]
         hits = self.dedup_hits
-        snap = {
+        return {
             "uptime_s": round(time.time() - self.started_at, 3),
             "queue_depth": queue_depth,
             "in_flight": in_flight,
@@ -124,6 +111,3 @@ class ServiceMetrics:
                 },
             },
         }
-        if fabric is not None:
-            snap["fabric"] = fabric
-        return snap

@@ -49,20 +49,6 @@ class FairScheduler:
         """Number of genuinely queued (non-cancelled) jobs."""
         return self._depth
 
-    def backlog(self) -> dict[str, int]:
-        """Queued (non-cancelled) job count per client.
-
-        Fabric health reporting: a worker node includes this in its
-        heartbeat so the coordinator can prefer idle nodes.
-        """
-        counts: dict[str, int] = {}
-        for lanes in self._lanes.values():
-            for client, lane in lanes.items():
-                live = sum(1 for job in lane if job.state is JobState.QUEUED)
-                if live:
-                    counts[client] = counts.get(client, 0) + live
-        return counts
-
     def push(self, job: JobRecord) -> None:
         if self._depth >= self.limit:
             raise QueueFull(

@@ -37,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 import os
 import signal
 import time
@@ -44,6 +45,7 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
+from urllib.parse import parse_qs
 
 from repro.service import transport
 from repro.service.backoff import BackoffPolicy
@@ -54,7 +56,6 @@ from repro.service.scheduler import FairScheduler, QueueFull
 from repro.service.worker import WorkerPool
 
 PROTOCOL_VERSION = 1
-_MAX_BODY = transport.MAX_BODY
 
 
 class Draining(RuntimeError):
@@ -76,10 +77,27 @@ class ServiceConfig:
     install_signal_handlers: bool = True
 
 
-class JobService:
-    #: Reported by ``/healthz``; fabric subclasses override.
-    role = "local"
+def _check_timeout(timeout: Any) -> float | None:
+    """A submission's per-job timeout: None, or finite seconds > 0.
 
+    Anything else would reach ``asyncio.wait_for`` and either kill the
+    job's task (leaving it ``running`` forever, and its dedup key with
+    it) or time out at once and restart the whole pool.
+    """
+    if timeout is None:
+        return None
+    if (
+        isinstance(timeout, bool)
+        or not isinstance(timeout, (int, float))
+        or not 0 < timeout < math.inf
+    ):
+        raise ValueError(
+            f"timeout must be a positive number of seconds, got {timeout!r}"
+        )
+    return timeout
+
+
+class JobService:
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
         self.journal = Journal(self.config.journal_dir or default_root())
@@ -233,11 +251,12 @@ class JobService:
     ) -> tuple[JobRecord, bool]:
         """Register one job; returns ``(job, deduped)``.
 
-        Raises ValueError (bad spec), QueueFull (backpressure), or
-        Draining (shutdown in progress).
+        Raises ValueError (bad spec or timeout), QueueFull
+        (backpressure), or Draining (shutdown in progress).
         """
         if self.draining:
             raise Draining("server is draining; not accepting jobs")
+        timeout = _check_timeout(timeout)
         spec = JobSpec.create(kind, params)
         key = job_key(spec)
         self.metrics.inc("submitted")
@@ -309,15 +328,11 @@ class JobService:
 
     # -- dispatch / execution ---------------------------------------------
 
-    def _dispatch_capacity(self) -> int:
-        """Concurrent job slots. The coordinator adds remote capacity."""
-        return self.config.workers
-
     async def _dispatch_loop(self) -> None:
         while True:
             await self._wake.wait()
             self._wake.clear()
-            while self.in_flight < self._dispatch_capacity():
+            while self.in_flight < self.config.workers:
                 job = self.scheduler.pop()
                 if job is None:
                     break
@@ -355,18 +370,11 @@ class JobService:
         """
         argv = job.spec.to_argv()
         if job.spec.kind == "inject":
-            params = job.spec.as_dict()
-            store = params.get("store_dir")
-            manifest = (
-                Path(store) / f"{job.key}.json"
-                if store
-                else self.journal.manifest_path(job.key)
-            )
-            argv += ["--manifest", str(manifest), "--resume"]
-            # Shard leases are partial campaigns: their output is a
-            # manifest contribution, not an aggregate, so no export.
-            if params.get("shards") is None:
-                argv += ["--export", str(self.journal.export_path(job.key))]
+            argv += [
+                "--manifest", str(self.journal.manifest_path(job.key)),
+                "--resume",
+                "--export", str(self.journal.export_path(job.key)),
+            ]
         return argv
 
     async def _run_job(self, job: JobRecord) -> None:
@@ -457,13 +465,15 @@ class JobService:
         try:
             try:
                 method, path, body = await asyncio.wait_for(
-                    _read_request(reader), timeout=30.0
+                    transport.read_request(reader), timeout=30.0
                 )
             except (asyncio.TimeoutError, ValueError, asyncio.IncompleteReadError):
-                await _respond(writer, 400, {"error": "malformed request"})
+                await transport.respond(
+                    writer, 400, {"error": "malformed request"}
+                )
                 return
             status, payload = self._route(method, path, body)
-            await _respond(writer, status, payload)
+            await transport.respond(writer, status, payload)
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
@@ -483,7 +493,6 @@ class JobService:
                 queue_depth=self.scheduler.depth,
                 in_flight=self.in_flight,
                 workers=self.config.workers,
-                fabric=self._fabric_snapshot(),
             )
         if method == "POST" and path == "/shutdown":
             self.begin_drain()
@@ -492,17 +501,12 @@ class JobService:
             return self._route_jobs(method, parts, query, body)
         return 404, {"error": f"no such endpoint {method} {path}"}
 
-    def _fabric_snapshot(self) -> dict | None:
-        """The ``/metrics`` ``fabric`` section; None off the fabric."""
-        return None
-
     def _healthz(self) -> dict:
         from repro import __version__
         from repro.harness.artifacts import code_digest
 
         return {
             "status": "draining" if self.draining else "ok",
-            "role": self.role,
             "version": __version__,
             "protocol": PROTOCOL_VERSION,
             "code_digest": code_digest()[:16],
@@ -517,11 +521,7 @@ class JobService:
         if method == "POST" and len(parts) == 1:
             return self._http_submit(body)
         if method == "GET" and len(parts) == 1:
-            client = None
-            for pair in query.split("&"):
-                name, _, value = pair.partition("=")
-                if name == "client" and value:
-                    client = value
+            client = parse_qs(query).get("client", [None])[-1]
             jobs = [
                 self.jobs[jid].to_dict()
                 for jid in sorted(self.jobs)
@@ -596,33 +596,9 @@ class JobService:
         }
 
 
-# -- minimal HTTP plumbing --------------------------------------------------
-# The implementation moved to repro.service.transport (every process in
-# the fabric speaks the same dialect); these aliases keep old imports
-# working.
-
-_read_request = transport.read_request
-_respond = transport.respond
-_STATUS_TEXT = transport.STATUS_TEXT
-
-
 def serve(args: Any) -> int:
-    """Handler for ``repro serve``: run the service until drained.
-
-    ``--role coordinator`` and ``--role worker`` delegate to the fabric
-    entry points; the default ``local`` role is the single-node server.
-    """
+    """Handler for ``repro serve``: run the service until drained."""
     import sys
-
-    role = getattr(args, "role", "local")
-    if role == "coordinator":
-        from repro.service.coordinator import serve_coordinator
-
-        return serve_coordinator(args)
-    if role == "worker":
-        from repro.service.node import serve_worker
-
-        return serve_worker(args)
 
     config = ServiceConfig(
         host=args.host,

@@ -1,31 +1,29 @@
-"""HTTP/JSON transport shared by every process in the fabric.
+"""HTTP/JSON transport shared by the job server and its client.
 
-Two halves live here:
+Two halves live here, so the wire format is defined exactly once:
 
 * the **server-side stream plumbing** (:func:`read_request`,
-  :func:`respond`) used by every asyncio HTTP listener in the service
-  stack — the single-node job server, the coordinator, and the worker
-  nodes all speak the same minimal HTTP/1.1-with-JSON-bodies dialect,
-  so its implementation exists exactly once;
-* the **client-side call helpers** (:func:`http_json`, :func:`call`,
-  :func:`acall`) with per-request timeouts and jittered
-  exponential-backoff retry on transport-level failures.
+  :func:`respond`) behind the asyncio listener of ``repro serve`` — a
+  minimal HTTP/1.1-with-JSON-bodies dialect;
+* the **client-side call helpers** (:func:`http_json`, :func:`call`)
+  with per-request timeouts and jittered exponential-backoff retry on
+  transport-level failures, used by :mod:`repro.service.client`.
 
 Retry discipline: only *transport* failures (connection refused/reset,
 socket timeouts, torn responses) are retried — an HTTP status is a
-delivered answer and is returned as-is. Every mutating request in the
-fabric is idempotent by construction (submissions dedupe on the
-content-addressed job key, heartbeats are upserts), so blind
-re-delivery is safe; the key rides along in an ``X-Idempotency-Key``
-header for log correlation.
+delivered answer and is returned as-is, and a URL the client could not
+even encode is a caller bug, not a network hiccup. Submissions dedupe
+on the content-addressed job key, so blind re-delivery is safe.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import http.client
 import json
 import socket
+import time
 from typing import Any
 
 from repro.service.backoff import Backoff, BackoffPolicy
@@ -44,11 +42,7 @@ STATUS_TEXT = {
 }
 
 
-class TransportError(ConnectionError):
-    """A request never produced an HTTP response (after any retries)."""
-
-
-class Unreachable(TransportError):
+class Unreachable(ConnectionError):
     """The peer could not be reached or dropped the connection."""
 
     def __init__(self, host: str, port: int, cause: BaseException) -> None:
@@ -61,11 +55,6 @@ class Unreachable(TransportError):
 #: Failures worth a retry: the peer may be restarting or mid-drain.
 _TRANSIENT = (OSError, socket.timeout, http.client.HTTPException, EOFError)
 
-#: Default retry schedule for fabric-internal calls: fast, bounded.
-DEFAULT_POLICY = BackoffPolicy(
-    base=0.05, factor=2.0, cap=1.0, jitter=0.25, max_attempts=3, deadline=10.0
-)
-
 
 def http_json(
     host: str,
@@ -74,19 +63,23 @@ def http_json(
     path: str,
     payload: dict[str, Any] | None = None,
     timeout: float = 10.0,
-    idempotency_key: str | None = None,
 ) -> tuple[int, dict[str, Any]]:
-    """One HTTP/JSON exchange; raises :class:`Unreachable` on failure."""
+    """One HTTP/JSON exchange; raises :class:`Unreachable` on failure.
+
+    A path ``http.client`` refuses to send (say, one with a space in it)
+    is the caller's bug, not a transport failure: it raises ValueError
+    at once instead of being retried.
+    """
     body = json.dumps(payload).encode() if payload is not None else None
     headers = {"Content-Type": "application/json"} if body else {}
-    if idempotency_key:
-        headers["X-Idempotency-Key"] = idempotency_key
     conn = http.client.HTTPConnection(host, port, timeout=timeout)
     try:
         try:
             conn.request(method, path, body=body, headers=headers)
             response = conn.getresponse()
             data = response.read()
+        except http.client.InvalidURL as exc:
+            raise ValueError(str(exc)) from exc
         except _TRANSIENT as exc:
             raise Unreachable(host, port, exc) from exc
     finally:
@@ -106,52 +99,23 @@ def call(
     method: str,
     path: str,
     payload: dict[str, Any] | None = None,
+    *,
+    policy: BackoffPolicy,
     timeout: float = 10.0,
-    policy: BackoffPolicy | None = None,
-    idempotency_key: str | None = None,
-    on_retry: Any = None,
 ) -> tuple[int, dict[str, Any]]:
     """:func:`http_json` with backoff retry on transport failures.
 
     Raises :class:`Unreachable` once the policy's budget is spent.
-    ``on_retry(attempt, exc)`` fires before each sleep (metrics hook).
     """
-    import time as _time
-
-    schedule = Backoff(policy if policy is not None else DEFAULT_POLICY)
+    schedule = Backoff(policy)
     while True:
         try:
-            return http_json(
-                host, port, method, path, payload,
-                timeout=timeout, idempotency_key=idempotency_key,
-            )
-        except Unreachable as exc:
+            return http_json(host, port, method, path, payload, timeout=timeout)
+        except Unreachable:
             delay = schedule.next_delay()
             if delay is None:
                 raise
-            if on_retry is not None:
-                on_retry(schedule.attempt, exc)
-            _time.sleep(delay)
-
-
-async def acall(
-    host: str,
-    port: int,
-    method: str,
-    path: str,
-    payload: dict[str, Any] | None = None,
-    timeout: float = 10.0,
-    policy: BackoffPolicy | None = None,
-    idempotency_key: str | None = None,
-    on_retry: Any = None,
-) -> tuple[int, dict[str, Any]]:
-    """Async wrapper over :func:`call` (runs in the default executor so
-    the coordinator's event loop never blocks on a slow peer)."""
-    return await asyncio.to_thread(
-        call, host, port, method, path, payload,
-        timeout=timeout, policy=policy,
-        idempotency_key=idempotency_key, on_retry=on_retry,
-    )
+            time.sleep(delay)
 
 
 def parse_endpoint(spec: str) -> tuple[str, int]:
@@ -196,8 +160,6 @@ async def respond(
     writer: asyncio.StreamWriter, status: int, payload: dict
 ) -> None:
     """Write one JSON response and flush (connection: close semantics)."""
-    import contextlib
-
     body = json.dumps(payload, sort_keys=True).encode()
     head = (
         f"HTTP/1.1 {status} {STATUS_TEXT.get(status, 'Unknown')}\r\n"

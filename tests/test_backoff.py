@@ -1,5 +1,5 @@
 """Unit tests for the shared backoff policy: curve shape, jitter
-bounds, attempt/deadline budgets, and the retry_call driver."""
+bounds, and attempt/deadline budgets."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.service.backoff import Backoff, BackoffPolicy, retry_call
+from repro.service.backoff import Backoff, BackoffPolicy
 
 
 class TestPolicy:
@@ -59,66 +59,3 @@ class TestSchedule:
         now[0] = 2.0  # next 1.0s sleep would land at 3.0 > 2.5
         assert schedule.next_delay() is None
 
-
-class TestRetryCall:
-    def test_retries_then_succeeds(self):
-        calls = []
-        sleeps = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise OSError("transient")
-            return "ok"
-
-        result = retry_call(
-            flaky,
-            BackoffPolicy(base=0.1, jitter=0.0, max_attempts=5),
-            sleep=sleeps.append,
-        )
-        assert result == "ok"
-        assert len(calls) == 3
-        assert sleeps == [0.1, 0.2]
-
-    def test_budget_exhaustion_raises_last_error(self):
-        def always():
-            raise OSError("still down")
-
-        with pytest.raises(OSError, match="still down"):
-            retry_call(
-                always,
-                BackoffPolicy(base=0.0, jitter=0.0, max_attempts=2),
-                sleep=lambda _d: None,
-            )
-
-    def test_non_retryable_propagates_immediately(self):
-        calls = []
-
-        def boom():
-            calls.append(1)
-            raise ValueError("logic bug")
-
-        with pytest.raises(ValueError):
-            retry_call(
-                boom,
-                BackoffPolicy(max_attempts=5),
-                retry_on=(OSError,),
-                sleep=lambda _d: None,
-            )
-        assert len(calls) == 1
-
-    def test_on_retry_hook_sees_attempts(self):
-        seen = []
-
-        def flaky():
-            if len(seen) < 2:
-                raise OSError("x")
-            return 7
-
-        retry_call(
-            flaky,
-            BackoffPolicy(base=0.0, jitter=0.0, max_attempts=5),
-            sleep=lambda _d: None,
-            on_retry=lambda attempt, exc: seen.append(attempt),
-        )
-        assert seen == [1, 2]

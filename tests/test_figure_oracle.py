@@ -6,7 +6,9 @@ points must carry the pinned ``SimStats``. A second pass from a fresh
 ``RunCache`` over the same artifact directory must render the same
 result from persisted artifacts alone: it may not build a workload,
 compile, run the functional simulator, load a trace, tally a stream or
-digest a program.
+digest a program. The cold result, rendered as ``repro sweep`` prints
+it, must also match ``tests/fixtures/oracle/sweep-quick.txt`` byte for
+byte (``--update-goldens`` regenerates it).
 
 The digests, their definitions and the point labels all come from the
 benchmark (``benchmarks/perf/workloads.py`` and its ``expected.json``),
@@ -25,8 +27,11 @@ import repro.harness.runner as runner_mod
 import repro.runtime.codegen as codegen_mod
 from repro.harness.artifacts import ArtifactCache
 from repro.harness.experiments import figure_suite, suite_pairs
+from repro.harness.reporting import format_figure_suite
 from repro.harness.runner import RunCache
 from repro.workloads.suites import quick_subset
+
+from test_lint_ecc_oracle import ORACLE_DIR, _check
 
 PERF = Path(__file__).resolve().parents[1] / "benchmarks" / "perf"
 
@@ -73,6 +78,11 @@ class TestQuickFigureOracle:
                     labels.append(label)
         assert len(UIDS) * len(pairs) == 168
         assert labels == []
+
+    def test_cold_text_matches_fixture(self, cold, update_goldens):
+        _disk, _cache, result = cold
+        _check(ORACLE_DIR / "sweep-quick.txt", format_figure_suite(result),
+               update_goldens)
 
     def test_warm_pass_reads_persisted_records_only(self, cold, monkeypatch):
         disk, _cache, _result = cold

@@ -3,7 +3,8 @@ keys, the fair scheduler's discipline, metrics, the crash-safe journal,
 and the asyncio server driven end-to-end over real sockets with a stub
 worker pool (no simulation work — these tests exercise queueing,
 backpressure, dedup, retry/backoff, per-job timeout, cancellation,
-re-adoption, and graceful drain, all in milliseconds)."""
+re-adoption, graceful drain, the client's job filter, and stale-endpoint
+takeover, all in milliseconds)."""
 
 from __future__ import annotations
 
@@ -11,12 +12,20 @@ import asyncio
 import concurrent.futures
 import contextlib
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import BrokenExecutor
 
 import pytest
 
+from repro.service.client import (
+    ServiceClient,
+    StaleEndpointError,
+    resolve_endpoint,
+)
 from repro.service.jobs import JobRecord, JobSpec, JobState, job_key
 from repro.service.journal import Journal
 from repro.service.metrics import LatencyHistogram, ServiceMetrics
@@ -397,6 +406,72 @@ class TestServiceEndToEnd:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize("timeout", ["abc", -1, 0, True, float("inf")])
+    def test_bad_timeout_rejected_before_registration(self, tmp_path, timeout):
+        """A timeout that is not finite seconds > 0 is a 400: it never
+        reaches the dispatcher, so it can neither strand a job (and its
+        dedup key) in ``running`` nor time out at once and restart the
+        pool under sibling jobs."""
+
+        async def scenario():
+            pool = StubPool()
+            async with running_service(tmp_path, pool=pool) as service:
+                payload = dict(RUN_SPEC, timeout=timeout)
+                status, reply = await http(service, "POST", "/jobs", payload)
+                assert status == 400 and "timeout" in reply["error"]
+                assert service.jobs == {}
+                status, reply = await http(service, "POST", "/jobs", RUN_SPEC)
+                assert status == 201 and reply["deduped"] is False
+                await wait_state(service, reply["job"]["id"], "done")
+                assert pool.restarts == 0
+
+        asyncio.run(scenario())
+
+    def test_client_filter_round_trips_any_name(self, tmp_path):
+        """``jobs(client=...)`` selects exactly that client's jobs, even
+        for names with a space or a query delimiter in them."""
+        names = ("alice bob", "team&x", "team")
+
+        async def scenario():
+            async with running_service(tmp_path) as service:
+                ids = {}
+                for name, uid in zip(names, (UID, UID2, "CPU2006.mcf")):
+                    job, _ = service.submit("run", {"uid": uid}, client=name)
+                    ids[name] = job.id
+                host, port = service.address
+                client = ServiceClient(endpoint=f"{host}:{port}")
+                for name in names:
+                    jobs = await asyncio.to_thread(client.jobs, name)
+                    assert [job["id"] for job in jobs] == [ids[name]], name
+
+        asyncio.run(scenario())
+
+    def test_metrics_and_healthz_key_sets(self, tmp_path):
+        """The benchmark and CI read these keys; renaming one breaks them."""
+
+        async def scenario():
+            async with running_service(tmp_path) as service:
+                status, snap = await http(service, "GET", "/metrics")
+                assert status == 200
+                assert set(snap) == {
+                    "uptime_s", "queue_depth", "in_flight", "workers",
+                    "worker_restarts", "jobs", "dedup", "latency",
+                }
+                assert set(snap["jobs"]) == {
+                    "submitted", "accepted", "rejected_backpressure",
+                    "deduped_in_flight", "deduped_cached", "readopted",
+                    "completed", "failed", "cancelled", "timeout", "retries",
+                }
+                assert set(snap["dedup"]) == {"hits", "hit_ratio"}
+                status, health = await http(service, "GET", "/healthz")
+                assert status == 200
+                assert set(health) == {
+                    "status", "version", "protocol", "code_digest", "jobs",
+                    "queue_depth", "in_flight",
+                }
+
+        asyncio.run(scenario())
+
     def test_backpressure_429(self, tmp_path):
         async def scenario():
             pool = StubPool(delay=5.0)
@@ -571,3 +646,69 @@ class TestServiceEndToEnd:
                 assert pool2.executed == []
 
         asyncio.run(scenario())
+
+
+# -- stale endpoint takeover -------------------------------------------------
+
+
+class TestStaleEndpoint:
+    def _dead_pid(self):
+        proc = subprocess.Popen([sys.executable, "-c", "pass"])
+        proc.wait()
+        return proc.pid
+
+    def test_successor_replaces_stale_endpoint(self, tmp_path):
+        async def scenario():
+            root = tmp_path / "journal"
+            Journal(root).write_endpoint(
+                "127.0.0.1", 59999, pid=self._dead_pid()
+            )
+            config = ServiceConfig(
+                journal_dir=root,
+                install_signal_handlers=False,
+                pool_factory=lambda workers: StubPool(workers),
+            )
+            service = JobService(config)
+            await service.start()
+            try:
+                assert (
+                    service.metrics.counters["stale_endpoint_replaced"] == 1
+                )
+                journal = Journal(root)
+                assert journal.endpoint_status() == "live"
+                assert journal.read_endpoint() == service.address
+            finally:
+                service.begin_drain()
+                await asyncio.wait_for(service._stopped.wait(), 5.0)
+                await service._shutdown()
+
+        asyncio.run(scenario())
+
+    def test_refuses_to_usurp_live_server(self, tmp_path):
+        async def scenario():
+            root = tmp_path / "journal"
+            # A *live* foreign PID owns the endpoint (use our own parent).
+            Journal(root).write_endpoint(
+                "127.0.0.1", 59999, pid=os.getppid()
+            )
+            service = JobService(
+                ServiceConfig(
+                    journal_dir=root,
+                    install_signal_handlers=False,
+                    pool_factory=lambda workers: StubPool(workers),
+                )
+            )
+            with pytest.raises(RuntimeError, match="already served"):
+                await service.start()
+
+        asyncio.run(scenario())
+
+    def test_client_reports_stale_endpoint(self, tmp_path):
+        root = tmp_path / "journal"
+        Journal(root).write_endpoint("127.0.0.1", 59999, pid=self._dead_pid())
+        with pytest.raises(StaleEndpointError, match="stale endpoint"):
+            resolve_endpoint(journal_dir=str(root))
+
+    def test_absent_endpoint_still_plain_error(self, tmp_path):
+        with pytest.raises(ValueError, match="no service endpoint"):
+            resolve_endpoint(journal_dir=str(tmp_path / "nowhere"))

@@ -3,9 +3,11 @@
 Every module under benchmarks/ regenerates one table or figure of the
 paper on the full 36-benchmark suite (set ``REPRO_BENCH_SUBSET=quick``
 for a fast 6-benchmark smoke sweep) and prints the same rows/series the
-paper reports. Artefacts (compiled programs, traces, baseline cycles)
-are shared through one session-scoped cache so the whole directory runs
-in a few minutes.
+paper reports. Compiled programs, timing stats and program facts are
+shared through one session-scoped cache so the whole directory runs in
+a few minutes. Committed streams are not: each lane batch computes its
+stream and drops it, so a stream that several modules time is
+recomputed by each.
 
 The session cache is backed by the persistent on-disk artifact cache
 (``REPRO_CACHE_DIR``; set it to ``0`` to force cold recomputation), so a

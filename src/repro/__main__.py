@@ -588,6 +588,19 @@ def _cmd_result(args) -> int:
     return cmd_result(args)
 
 
+def _job_timeout(text: str) -> float | None:
+    """``--job-timeout``: seconds, by the rule a submission's timeout
+    obeys (finite and > 0)."""
+    from repro.service.server import _check_timeout
+
+    try:
+        return _check_timeout(float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds > 0, got {text!r}"
+        ) from None
+
+
 def _add_client_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--endpoint",
@@ -999,7 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--job-timeout",
-        type=float,
+        type=_job_timeout,
         default=None,
         help="default per-job timeout in seconds (none by default)",
     )
@@ -1026,7 +1039,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         kp.add_argument(
             "--job-timeout",
-            type=float,
+            type=_job_timeout,
             default=None,
             help="per-job timeout in seconds",
         )

@@ -1,27 +1,29 @@
 """Persistent on-disk artifact cache for simulation products.
 
-Traces and timing results are pure functions of (benchmark uid, compiler
-config, hardware config, core config) *and of the simulator's own source
-code*. This module keys every artifact by a digest of the whole
-``repro`` package source plus the reprs of the frozen config dataclasses,
-so a warm cache can never serve results produced by different simulator
-semantics: touching any ``src/repro`` file invalidates everything.
+Timing results and program facts are pure functions of (benchmark uid,
+compiler config, hardware config, core config) *and of the simulator's
+own source code*. This module keys every artifact by a digest of the
+whole ``repro`` package source plus the reprs of the frozen config
+dataclasses, so a warm cache can never serve results produced by
+different simulator semantics: touching any ``src/repro`` file
+invalidates everything.
 
 Five artifact kinds are stored (:attr:`ArtifactCache.KINDS`):
 
-* ``trace-<key>.pkl`` — the dynamic trace of one (uid, compiler-config)
-  pair, as pickled tuples. Branch-id fields inside a trace come from the
-  process-global instruction uid counter, so cached bytes can differ from
-  a fresh trace by a constant offset — the bimodal predictor indexes its
-  table by ``uid & mask``, and aliasing depends only on pairwise uid
-  *differences*, which are structural. Timing statistics computed from a
-  cached trace are therefore identical to those from a fresh one.
+* ``trace-<key>.pkl`` — the pickled dynamic trace of one (uid,
+  compiler-config) pair. Nothing in the package reads or writes this
+  kind any more: a committed stream lives for one lane batch and is
+  never persisted. The kind (``trace_key``, ``load_trace``,
+  ``store_trace``) is kept only because the benchmark's span tracer
+  (``benchmarks/perf/tracer.py``) wraps those methods by name;
+  ``clear`` still counts and deletes old trace files.
 * ``stats-<key>.json`` — a finished :class:`~repro.arch.stats.SimStats`
-  for one (uid, compiler, hardware, core) combination.
+  for one (uid, compiler, hardware, core) combination: one record per
+  design point.
 * ``facts-<key>.json`` — the :class:`ProgramFacts` of one (uid,
   compiler-config) pair: the code size and the committed stream's
   instruction, checkpoint and store tallies that Figures 4, 23 and 26
-  read, so a warm figure pass neither compiles nor loads a trace.
+  read, so a warm figure pass neither compiles nor runs anything.
 * ``golden-<key>.pkl`` — a fault-free
   :class:`~repro.faults.snapshot.GoldenRecord` (periodic machine
   snapshots plus the per-tick fingerprint stream) for one (uid,
@@ -37,8 +39,8 @@ functional backend; nothing reads them, and ``clear`` (hence ``cache
 clear`` and ``cache prune``) deletes them with the rest.
 
 Writes are atomic (temp file + ``os.replace``), so any number of
-processes — the multiprocess shards of :mod:`repro.harness.runner`
-included — may share one cache directory without locking. Every load is
+processes — campaign shards and service workers included — may share
+one cache directory without locking. Every load is
 failure-tolerant: a corrupt or truncated artifact is treated as a miss
 and rewritten.
 
@@ -89,9 +91,9 @@ class ProgramFacts:
     """What the compiler-side figures read about one compiled program.
 
     ``code_size_bytes`` is the static size (Figure 26's code growth);
-    the rest are :class:`~repro.runtime.trace.TraceSummary` tallies of
-    the committed stream (Figure 4's checkpoint ratio, Figure 23's store
-    differencing).
+    the rest are tallies of the committed stream (Figure 4's checkpoint
+    ratio, Figure 23's store differencing), taken from the decode that
+    timed the stream (:data:`~repro.runtime.multisim.FeedMeta`).
     """
 
     code_size_bytes: int
@@ -169,23 +171,6 @@ class ArtifactCache:
     @staticmethod
     def facts_key(uid: str, compiler: CompilerConfig) -> str:
         return _key("facts", uid, compiler)
-
-    @staticmethod
-    def sweep_key(
-        uid: str,
-        digest: str,
-        hardware: ResilienceHardwareConfig,
-        core: CoreConfig,
-    ) -> str:
-        """Content-addressed key of one sweep design point.
-
-        Identified by the *structural program digest* rather than the
-        compiler config, so two configs that compile to the same program
-        share one stats artifact across figures (``load_stats`` /
-        ``store_stats`` work with this key — a sweep point is stored as
-        an ordinary ``stats-<key>.json``).
-        """
-        return _key("sweep", uid, digest, hardware, core)
 
     @staticmethod
     def golden_key(

@@ -1,30 +1,35 @@
-"""Compile / execute / simulate pipeline with memoisation and sharding.
+"""Compile / execute / time pipeline with memoisation and sharding.
 
-Every experiment needs the same expensive artefacts — compiled programs,
-dynamic traces, timing results — for many (benchmark, compiler config,
-hardware config) combinations. This module produces them through three
+Every experiment needs the same expensive artefacts — compiled programs
+and timing results — for many (benchmark, compiler config, hardware
+config) combinations. This module produces them through three
 cooperating layers:
 
 1. an in-process :class:`RunCache` (thread-safe; every lookup/insert
-   happens under one lock, so concurrent ``prepared()`` calls and
+   happens under one lock, so concurrent ``stats()`` calls and
    ``clear()`` are safe);
 2. a persistent :class:`~repro.harness.artifacts.ArtifactCache` shared
    across processes and sessions (keyed by a digest of the simulator
-   source, so stale artefacts can never survive a code change);
+   source, so stale artefacts can never survive a code change). It
+   holds answers, not traces: one stats record per design point and
+   one facts record per compiled program;
 3. multiprocess sharding: :func:`warm_suite` hands a benchmark x scheme
    lattice to :func:`repro.harness.sweep.run_sweep`, whose process pool
    fans lane batches out across cores.
 
-Timing always runs the lane kernel of :mod:`repro.runtime.multisim`; a
-solo :meth:`RunCache.stats` call is a one-lane
-:func:`~repro.runtime.multisim.run_lanes`.
+A committed stream lives for one lane batch: :meth:`RunCache.run_stream`
+produces it, times the lanes it is given on the lane kernel of
+:mod:`repro.runtime.multisim`, tallies it from the decode's
+:data:`~repro.runtime.multisim.FeedMeta` and drops it. A solo
+:meth:`RunCache.stats` miss is a one-lane batch.
 
 Per-process caches are **independent**: each worker process builds its
 own ``RunCache`` (a fork inherits a snapshot of the parent's, spawn
-starts empty) and they never synchronise in memory. All cross-process
-reuse flows through the persistent artifact layer, whose writes are
-atomic — two workers may race to produce the same artefact and both
-succeed, one file winning harmlessly.
+starts empty) and they never synchronise in memory. Sweep workers hand
+their results back to the parent, which records them; other
+cross-process reuse flows through the persistent artifact layer, whose
+writes are atomic — two processes may race to produce the same artefact
+and both succeed, one file winning harmlessly.
 
 Functional execution uses the fast backend
 (:mod:`repro.runtime.fastsim`) by default; set
@@ -39,6 +44,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections.abc import Sequence
 from dataclasses import replace
 
 from repro.arch.config import CoreConfig, ResilienceHardwareConfig
@@ -67,13 +73,6 @@ def functional_backend() -> str:
     return backend
 
 
-def _run_functional(program, memory):
-    """Functional execution via the selected backend."""
-    if functional_backend() == "reference":
-        return execute(program, memory, collect_trace=True)
-    return execute_fast(program, memory, collect_trace=True)
-
-
 def _baseline_config() -> CompilerConfig:
     return CompilerConfig(
         eager_checkpointing=False,
@@ -86,23 +85,17 @@ def _baseline_config() -> CompilerConfig:
     )
 
 
-class PreparedRun:
-    """The committed stream of one (benchmark, compile-config) pair."""
-
-    __slots__ = ("uid", "config", "trace")
-
-    def __init__(self, uid: str, config: CompilerConfig, trace: list[tuple]) -> None:
-        self.uid = uid
-        self.config = config
-        self.trace = trace
+#: The tallies of one committed stream, in :class:`ProgramFacts` field
+#: order: (committed, checkpoints, spill_stores, all_stores).
+StreamTallies = tuple[int, int, int, int]
 
 
 class RunCache:
-    """Process-wide memoisation of workloads, compiles, traces, stats
-    and program facts.
+    """Process-wide memoisation of workloads, compiles, stats and
+    program facts.
 
     Thread-safe: all dictionary access is serialised through one
-    re-entrant lock, so ``prepared()`` from several threads and a
+    re-entrant lock, so ``stats()`` from several threads and a
     concurrent ``clear()`` cannot corrupt state (a cleared cache simply
     recomputes). Instances in different processes are independent by
     design — cross-process reuse goes through ``persistent``.
@@ -116,22 +109,18 @@ class RunCache:
         self.persistent: ArtifactCache | None = persistent  # type: ignore[assignment]
         self._lock = threading.RLock()
         self._workloads: dict[str, Workload] = {}
-        # Keyed by the full (frozen) compiler config: two configs that
-        # merely share a display name must not collide.
-        self._prepared: dict[tuple[str, CompilerConfig], PreparedRun] = {}
         self._stats: dict[
             tuple[str, CompilerConfig, ResilienceHardwareConfig, CoreConfig],
             SimStats,
         ] = {}
-        # Compile-only products (no functional run): the sweep planner
-        # compiles every lattice config to group design points by
-        # structural program digest before paying for any trace.
+        # Compile-only products, keyed by the full (frozen) compiler
+        # config: the sweep planner compiles every lattice config to
+        # group design points by structural program digest.
         self._compiled: dict[tuple[str, CompilerConfig], CompiledProgram] = {}
         self._digests: dict[tuple[str, CompilerConfig], str] = {}
-        # Trace sharing across digest-equal compiler configs: configs
-        # that compile to an identical program produce an identical
-        # committed stream, so one functional run serves them all.
-        self._digest_runs: dict[tuple[str, str], PreparedRun] = {}
+        # Tallies of every stream timed here, by (uid, program digest):
+        # digest-equal configs commit the same stream.
+        self._tallies: dict[tuple[str, str], StreamTallies] = {}
         self._facts: dict[tuple[str, CompilerConfig], ProgramFacts] = {}
 
     def workload(self, uid: str) -> Workload:
@@ -141,32 +130,6 @@ class RunCache:
                 wl = build_workload(lookup_profile(uid))
                 self._workloads[uid] = wl
             return wl
-
-    def prepared(self, uid: str, config: CompilerConfig) -> PreparedRun:
-        key = (uid, config)
-        with self._lock:
-            run = self._prepared.get(key)
-            if run is not None:
-                return run
-            if self.persistent is not None:
-                trace = self.persistent.load_trace(
-                    self.persistent.trace_key(uid, config)
-                )
-                if trace is not None:
-                    run = PreparedRun(uid, config, trace)
-                    self._prepared[key] = run
-                    return run
-            workload = self.workload(uid)
-            compiled = self.compiled_program(uid, config)
-            result = _run_functional(compiled.program, workload.fresh_memory())
-            assert result.trace is not None
-            run = PreparedRun(uid, config, result.trace)
-            if self.persistent is not None:
-                self.persistent.store_trace(
-                    self.persistent.trace_key(uid, config), result.trace
-                )
-            self._prepared[key] = run
-            return run
 
     def compiled_program(
         self, uid: str, config: CompilerConfig
@@ -201,28 +164,50 @@ class RunCache:
                 self._digests[key] = digest
             return digest
 
-    def prepared_by_digest(
-        self, uid: str, config: CompilerConfig, digest: str
-    ) -> PreparedRun:
-        """Like :meth:`prepared`, memoised by program digest.
-
-        The returned run belongs to the first config seen with this
-        digest; its trace is valid for every digest-equal config.
-        """
-        key = (uid, digest)
+    def _stream(self, uid: str, config: CompilerConfig) -> list[tuple]:
+        """A fresh committed stream of one compiled program."""
         with self._lock:
-            run = self._digest_runs.get(key)
-            if run is None:
-                run = self.prepared(uid, config)
-                self._digest_runs[key] = run
-            return run
+            workload = self.workload(uid)
+            program = self.compiled_program(uid, config).program
+        run = execute if functional_backend() == "reference" else execute_fast
+        return run(program, workload.fresh_memory(), collect_trace=True).trace
+
+    def run_stream(
+        self,
+        uid: str,
+        config: CompilerConfig,
+        lanes: Sequence[tuple[CoreConfig, ResilienceHardwareConfig]],
+    ) -> tuple[list[SimStats], StreamTallies]:
+        """Time ``lanes`` over a fresh committed stream, then drop it.
+
+        The stream's tallies come from its decode's
+        :data:`~repro.runtime.multisim.FeedMeta`. They are recorded for
+        :meth:`program_facts` and returned next to the lane stats, so a
+        sweep worker can hand them to its parent. No stream outlives
+        the call.
+        """
+        feeds: dict = {}
+        stats = run_lanes(self._stream(uid, config), lanes, feeds)
+        meta = next(iter(feeds.values()))[2]
+        tallies = (meta[0], meta[4], meta[3], meta[2] + meta[4])
+        self.record_tallies(uid, self.program_digest(uid, config), tallies)
+        return stats, tallies
+
+    def record_tallies(
+        self, uid: str, digest: str, tallies: StreamTallies
+    ) -> None:
+        """Note the tallies of the stream of (uid, program digest)."""
+        with self._lock:
+            self._tallies[(uid, digest)] = tallies
 
     def program_facts(self, uid: str, config: CompilerConfig) -> ProgramFacts:
         """Code size and stream tallies of one compiled program.
 
-        Memoised, then persisted, then computed, like :meth:`stats`.
-        Only the computing layer compiles and tallies the digest-shared
-        committed stream, so a warm cache builds, compiles and loads
+        Memoised, then persisted, then compiled and paired with the
+        tallies a timed stream of the same program recorded here. Only
+        a program that no sweep in this cache timed (a standalone
+        Figure 4, say) runs its stream again, to tally it with
+        :class:`TraceSummary`. A warm cache builds, compiles and runs
         nothing.
         """
         key = (uid, config)
@@ -234,17 +219,16 @@ class RunCache:
                 )
             if facts is None:
                 compiled = self.compiled_program(uid, config)
-                run = self.prepared_by_digest(
-                    uid, config, self.program_digest(uid, config)
+                tallies = self._tallies.get(
+                    (uid, self.program_digest(uid, config))
                 )
-                summary = TraceSummary(run.trace)
-                facts = ProgramFacts(
-                    code_size_bytes=compiled.code_size_bytes,
-                    committed=summary.committed,
-                    checkpoints=summary.checkpoints,
-                    spill_stores=summary.spill_stores,
-                    all_stores=summary.all_stores,
-                )
+                if tallies is None:
+                    summary = TraceSummary(self._stream(uid, config))
+                    tallies = (
+                        summary.committed, summary.checkpoints,
+                        summary.spill_stores, summary.all_stores,
+                    )
+                facts = ProgramFacts(compiled.code_size_bytes, *tallies)
                 if self.persistent is not None:
                     self.persistent.store_facts(
                         self.persistent.facts_key(uid, config), facts
@@ -272,6 +256,7 @@ class RunCache:
                     self._stats[key] = stats
             if stats is None:
                 return None
+            # Defensive copy: cached stats must survive caller mutation.
             return replace(stats, cache=dict(stats.cache))
 
     def put_stats(
@@ -282,8 +267,8 @@ class RunCache:
         core: CoreConfig | None,
         stats: SimStats,
     ) -> None:
-        """Insert externally-computed stats (the sweep engine's lanes)
-        into both memoisation layers, so later solo lookups hit."""
+        """Insert computed stats into both memoisation layers, under the
+        point's config key, so later solo lookups hit."""
         core = core or CoreConfig()
         key = (uid, compiler, hardware, core)
         with self._lock:
@@ -303,26 +288,13 @@ class RunCache:
     ) -> SimStats:
         """Timing stats for one combination, memoised at every layer."""
         core = core or CoreConfig()
-        key = (uid, compiler, hardware, core)
         with self._lock:
-            stats = self._stats.get(key)
-            if stats is None and self.persistent is not None:
-                stats = self.persistent.load_stats(
-                    self.persistent.stats_key(uid, compiler, hardware, core)
-                )
-                if stats is not None:
-                    self._stats[key] = stats
+            stats = self.peek_stats(uid, compiler, hardware, core)
             if stats is None:
-                run = self.prepared(uid, compiler)
-                (stats,) = run_lanes(run.trace, [(core, hardware)])
-                self._stats[key] = stats
-                if self.persistent is not None:
-                    self.persistent.store_stats(
-                        self.persistent.stats_key(uid, compiler, hardware, core),
-                        stats,
-                    )
-            # Defensive copy: cached stats must survive caller mutation.
-            return replace(stats, cache=dict(stats.cache))
+                (stats,), _ = self.run_stream(uid, compiler, [(core, hardware)])
+                self.put_stats(uid, compiler, hardware, core, stats)
+                stats = replace(stats, cache=dict(stats.cache))
+            return stats
 
     def baseline_cycles(self, uid: str, core: CoreConfig | None = None) -> float:
         return self.stats(
@@ -340,11 +312,10 @@ class RunCache:
         """
         with self._lock:
             self._workloads.clear()
-            self._prepared.clear()
             self._stats.clear()
             self._compiled.clear()
             self._digests.clear()
-            self._digest_runs.clear()
+            self._tallies.clear()
             self._facts.clear()
 
 
@@ -506,8 +477,8 @@ def warm_suite(
     The matrix is one :func:`~repro.harness.sweep.run_sweep` lattice, so
     ``workers > 1`` fans its lane batches across the sweep's process
     pool. Returns ``{(uid, scheme_name): stats}``. After this returns,
-    the persistent cache holds a trace and timing stats for every
-    combination, so subsequent figure sweeps start warm.
+    the persistent cache holds one stats record per combination, so
+    subsequent figure sweeps start warm.
     """
     from repro.harness.sweep import DesignPoint, run_sweep
 

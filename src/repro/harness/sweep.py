@@ -9,21 +9,24 @@ shares its cache/branch behaviour.
 
 The engine exploits both:
 
-1. **Content-addressed point keys** (:func:`point_key`): a point is
-   identified by the *structural digest* of its compiled program, not
-   the config that produced it, so identical points — across figures,
-   or from configs that differ only in non-binding options — dedup to
-   one evaluation, and per-point stats persist in the artifact cache
-   under the same identity.
+1. **Content-addressed point keys** (:func:`point_key`): inside one
+   plan a point is identified by the *structural digest* of its
+   compiled program, not the config that produced it, so identical
+   points — across figures, or from configs that differ only in
+   non-binding options — dedup to one lane. The key lives in memory
+   only: each point's stats persist once, under its own config key.
 2. **Lane batching** (:func:`plan_sweep`): points sharing one compiled
-   program form a batch; :func:`repro.runtime.multisim.run_lanes`
-   executes the batch with one shared decode pass (fetch/decode/
-   functional work once) and K independent timing lanes, each
-   byte-identical to a solo :func:`~repro.harness.runner.simulate`.
+   program form a batch; :meth:`~repro.harness.runner.RunCache.
+   run_stream` produces the batch's committed stream, runs every lane
+   over one shared decode pass (fetch/decode/functional work once, K
+   independent timing lanes, each byte-identical to a solo
+   :func:`~repro.harness.runner.simulate`) and drops the stream before
+   the next batch.
 3. **Multiprocess dispatch**: with ``workers > 1`` (or
    ``REPRO_WORKERS``) lane batches fan out across a process pool,
    which ``cache warm`` (:func:`~repro.harness.runner.warm_suite`)
-   shards through too.
+   shards through too. A worker returns a batch's lane stats and
+   stream tallies, and the parent records both; workers touch no disk.
 
 Results are inserted back into the :class:`~repro.harness.runner.
 RunCache` stats layers under each point's own config key, so the solo
@@ -47,13 +50,12 @@ if TYPE_CHECKING:
 from repro.arch.config import CoreConfig, ResilienceHardwareConfig
 from repro.arch.stats import SimStats
 from repro.compiler.config import CompilerConfig
-from repro.harness.artifacts import ArtifactCache
 from repro.harness.runner import (
     GLOBAL_CACHE,
     RunCache,
+    StreamTallies,
     resolve_workers,
 )
-from repro.runtime.multisim import Feed, FeedMeta, run_lanes
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,11 @@ class DesignPoint:
 
 
 SchemePair = tuple[CompilerConfig, ResilienceHardwareConfig]
+
+#: A point's identity inside one plan: (uid, program digest, hardware,
+#: core) for a point to evaluate, (uid, compiler config, hardware, core)
+#: for one resolved from a cache layer without compiling.
+PointKey = tuple[str, str | CompilerConfig, ResilienceHardwareConfig, CoreConfig]
 
 
 def lattice(
@@ -84,15 +91,13 @@ def lattice(
     ]
 
 
-def point_key(point: DesignPoint, digest: str) -> str:
-    """Content-addressed identity of a design point.
+def point_key(point: DesignPoint, digest: str) -> PointKey:
+    """Content-addressed identity of a design point within one plan.
 
     Built from the structural program digest (not the compiler config),
     so digest-equal configs collapse to the same key.
     """
-    return ArtifactCache.sweep_key(
-        point.uid, digest, point.hardware, point.core
-    )
+    return (point.uid, digest, point.hardware, point.core)
 
 
 @dataclass
@@ -104,7 +109,7 @@ class LaneBatch:
     digest: str
     lanes: list[tuple[CoreConfig, ResilienceHardwareConfig]]
     # Per lane, every (point, its content key) mapped onto it.
-    members: list[list[tuple[DesignPoint, str]]]
+    members: list[list[tuple[DesignPoint, PointKey]]]
 
 
 @dataclass
@@ -113,9 +118,9 @@ class SweepPlan:
 
     batches: list[LaneBatch]
     # Points already resolved (peeked from a cache layer) at plan time.
-    resolved: dict[str, SimStats]
+    resolved: dict[PointKey, SimStats]
     # Content key of every input point.
-    keys: dict[DesignPoint, str]
+    keys: dict[DesignPoint, PointKey]
 
     @property
     def planned_lanes(self) -> int:
@@ -129,14 +134,13 @@ def plan_sweep(
 ) -> SweepPlan:
     """Group design points into lane batches keyed by program digest.
 
-    Points whose stats are already available in the cache layers (from
-    an earlier figure in this process, or the persistent artifact
+    Points whose stats are already available under their own config key
+    (from an earlier figure in this process, or the persistent artifact
     cache) are resolved immediately and excluded from the batches.
     """
-    persistent = cache.persistent
     batches: dict[tuple[str, str], LaneBatch] = {}
-    resolved: dict[str, SimStats] = {}
-    keys: dict[DesignPoint, str] = {}
+    resolved: dict[PointKey, SimStats] = {}
+    keys: dict[DesignPoint, PointKey] = {}
     for point in points:
         if point in keys:
             continue
@@ -147,29 +151,14 @@ def plan_sweep(
                 point.uid, point.compiler, point.hardware, point.core
             )
             if stats is not None:
-                key = ArtifactCache.stats_key(
+                keys[point] = (
                     point.uid, point.compiler, point.hardware, point.core
                 )
-                keys[point] = key
-                resolved.setdefault(key, stats)
+                resolved[keys[point]] = stats
                 continue
         digest = cache.program_digest(point.uid, point.compiler)
         key = point_key(point, digest)
         keys[point] = key
-        if key in resolved:
-            continue
-        if reuse_cached and persistent is not None:
-            # Digest-level artifact: another config compiling to the
-            # same program may have paid for this point already.
-            stats = persistent.load_stats(key)
-            if stats is not None:
-                resolved[key] = stats
-                # Warm the config-keyed layers so solo accessors hit.
-                cache.put_stats(
-                    point.uid, point.compiler, point.hardware, point.core,
-                    stats,
-                )
-                continue
         bkey = (point.uid, digest)
         batch = batches.get(bkey)
         if batch is None:
@@ -196,29 +185,28 @@ _MpJob = tuple[
 ]
 
 
-def _mp_run_batch(job: _MpJob) -> list[SimStats]:
-    """Worker entry: evaluate one lane batch via the worker's caches."""
+def _mp_run_batch(job: _MpJob) -> tuple[list[SimStats], StreamTallies]:
+    """Worker entry: time one lane batch over a stream made here.
+
+    The worker's cache only memoises workloads and compiles; the parent
+    records the returned stats and tallies.
+    """
     uid, compiler, lanes = job
-    trace = GLOBAL_CACHE.prepared(uid, compiler).trace
-    return run_lanes(trace, lanes)
+    return GLOBAL_CACHE.run_stream(uid, compiler, lanes)
 
 
 def _commit(
     cache: RunCache,
     batch: LaneBatch,
     lane_stats: Sequence[SimStats],
-    out: dict[str, SimStats],
+    out: dict[PointKey, SimStats],
 ) -> None:
-    """Record one evaluated batch in every cache layer."""
-    persistent = cache.persistent
+    """Record one evaluated batch: one stats record per design point,
+    under the point's own config key, so the solo accessors
+    (simulate / normalized_time) hit."""
     for members, stats in zip(batch.members, lane_stats, strict=True):
         for point, key in members:
-            if key not in out:
-                out[key] = stats
-                if persistent is not None:
-                    persistent.store_stats(key, stats)
-            # Insert under the point's own config identity too, so the
-            # solo accessors (simulate / normalized_time) hit.
+            out[key] = stats
             cache.put_stats(
                 point.uid, point.compiler, point.hardware, point.core, stats
             )
@@ -239,7 +227,7 @@ def run_sweep(
     """
     cache = cache or GLOBAL_CACHE
     plan = plan_sweep(points, cache, reuse_cached=reuse_cached)
-    computed: dict[str, SimStats] = dict(plan.resolved)
+    computed: dict[PointKey, SimStats] = dict(plan.resolved)
     workers = resolve_workers(workers)
     pending = [b for b in plan.batches if b.lanes]
     if workers > 1 and len(pending) > 1:
@@ -250,18 +238,14 @@ def run_sweep(
         ]
         with mp.get_context().Pool(min(workers, len(jobs))) as pool:
             results = pool.map(_mp_run_batch, jobs, chunksize=1)
-        for batch, lane_stats in zip(pending, results, strict=True):
+        for batch, (lane_stats, tallies) in zip(pending, results, strict=True):
+            cache.record_tallies(batch.uid, batch.digest, tallies)
             _commit(cache, batch, lane_stats, computed)
     else:
-        feeds: dict[
-            tuple[CoreConfig, bool], tuple[Feed, dict[str, int], FeedMeta]
-        ]
         for batch in pending:
-            run = cache.prepared_by_digest(
-                batch.uid, batch.compiler, batch.digest
+            lane_stats, _ = cache.run_stream(
+                batch.uid, batch.compiler, batch.lanes
             )
-            feeds = {}
-            lane_stats = run_lanes(run.trace, batch.lanes, feeds)
             _commit(cache, batch, lane_stats, computed)
     return {
         point: replace(computed[key], cache=dict(computed[key].cache))

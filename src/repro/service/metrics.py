@@ -86,6 +86,7 @@ class ServiceMetrics:
             "in_flight": in_flight,
             "workers": workers,
             "worker_restarts": self.counters["worker_restarts"],
+            "stale_endpoint_replaced": self.counters["stale_endpoint_replaced"],
             "jobs": {
                 "submitted": submitted,
                 "accepted": self.counters["accepted"],

@@ -16,13 +16,17 @@ with the supervision the server needs:
 * a broken pool (worker killed by the OOM killer, segfault, or a
   sibling job's timeout restart) surfaces to the server as
   ``BrokenExecutor``, which retries the job with exponential backoff;
-* ``restarts`` counts every rebuild for ``/metrics``.
+* ``restarts`` counts every rebuild for ``/metrics``;
+* workers reset their inherited signal handling
+  (:func:`_detach_signals`), so a restart stops the workers, not the
+  server.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import signal
 import traceback
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from typing import Any, Callable
@@ -54,6 +58,19 @@ def execute_job_argv(argv: list[str]) -> dict[str, Any]:
     }
 
 
+def _detach_signals() -> None:
+    """Pool initializer: give a forked worker default signal handling.
+
+    A worker forked from ``repro serve`` inherits the asyncio loop's
+    signal wakeup fd and its no-op SIGTERM/SIGINT handlers, so a signal
+    sent to the worker would wake the server's loop instead and run its
+    drain handler, while the worker kept running.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
 class WorkerPool:
     """A restartable ProcessPoolExecutor with restart accounting."""
 
@@ -69,7 +86,9 @@ class WorkerPool:
         self._make()
 
     def _make(self) -> None:
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        self._pool = ProcessPoolExecutor(
+            max_workers=self.workers, initializer=_detach_signals
+        )
 
     def submit(self, argv: list[str]) -> Future:
         if self._pool is None:

@@ -33,6 +33,24 @@ def update_goldens(request) -> bool:
     return request.config.getoption("--update-goldens")
 
 
+@pytest.fixture(scope="session")
+def cold_quick_suite(tmp_path_factory):
+    """One cold quick-subset ``figure_suite`` pass into a fresh artifact
+    directory, as ``(disk, cache, result)``.
+
+    The figure oracle and the artifact tests both read it, so tier-1
+    pays for one cold pass.
+    """
+    from repro.harness.artifacts import ArtifactCache
+    from repro.harness.experiments import figure_suite
+    from repro.harness.runner import RunCache
+    from repro.workloads.suites import quick_subset
+
+    disk = ArtifactCache(tmp_path_factory.mktemp("figure-oracle"))
+    cache = RunCache(persistent=disk)
+    return disk, cache, figure_suite([p.uid for p in quick_subset()], cache=cache)
+
+
 @pytest.fixture
 def sum_loop():
     return build_sum_loop()

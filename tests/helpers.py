@@ -1,9 +1,10 @@
-"""Small program builders shared across test modules."""
+"""Small program builders and stream helpers shared across test modules."""
 
 from __future__ import annotations
 
 from repro.isa.builder import ProgramBuilder
 from repro.isa.program import Program
+from repro.runtime.fastsim import execute_fast
 
 
 def build_sum_loop(trip: int = 20, store_base: int = 0x400) -> Program:
@@ -52,3 +53,14 @@ def build_diamond(store_base: int = 0x800) -> Program:
     b.store(z, base, offset=8)
     b.ret()
     return b.finish()
+
+
+def committed_stream(cache, uid: str, config) -> list[tuple]:
+    """A freshly computed committed stream of one compiled program.
+
+    Uses ``cache``'s memoised workload and compile, and keeps nothing:
+    the harness itself never holds a stream past one lane batch.
+    """
+    program = cache.compiled_program(uid, config).program
+    memory = cache.workload(uid).fresh_memory()
+    return execute_fast(program, memory, collect_trace=True).trace

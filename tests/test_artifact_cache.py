@@ -8,9 +8,13 @@ Covers the tentpole's storage/concurrency contract:
 * a warm persistent cache serves RunCache without recompiling,
   re-simulating or re-tallying anything (monkeypatched builders raise if
   touched);
-* ``prepared()`` under thread contention with interleaved ``clear()``
+* program facts come from the tallies of the stream a sweep timed, and
+  those equal a fresh stream's ``TraceSummary`` for every program the
+  quick figure suite asks about;
+* ``stats()`` under thread contention with interleaved ``clear()``
   never corrupts state, and ``clear()`` leaves the disk layer intact;
-* ``warm_suite`` fills the persistent layer through the sweep engine;
+* ``warm_suite`` fills the persistent layer through the sweep engine
+  with one stats record per point and no trace;
 * shard-merge arithmetic (``SimStats.merge`` / ``merge_stats`` /
   ``CLQStats.merge``) is exact.
 """
@@ -26,6 +30,7 @@ import pytest
 from repro.arch.clq import CLQStats
 from repro.arch.config import CoreConfig, ResilienceHardwareConfig
 from repro.arch.stats import SimStats, merge_stats
+import repro.harness.runner as runner_mod
 from repro.harness import artifacts
 from repro.harness.artifacts import ArtifactCache, ProgramFacts
 from repro.harness.runner import (
@@ -37,6 +42,8 @@ from repro.harness.runner import (
 )
 from repro.runtime.trace import TraceSummary
 
+from helpers import committed_stream
+
 UID = "CPU2006.mcf"
 FACTS = ProgramFacts(
     code_size_bytes=96, committed=40, checkpoints=3, spill_stores=1,
@@ -47,6 +54,10 @@ FACTS = ProgramFacts(
 @pytest.fixture
 def disk_cache(tmp_path):
     return ArtifactCache(tmp_path / "artifacts")
+
+
+def _boom(*args, **kwargs):
+    raise AssertionError("recomputed something that was already known")
 
 
 class TestArtifactCache:
@@ -303,41 +314,54 @@ class TestRunCachePersistence:
         want_facts = cold.program_facts(UID, config)
 
         # A fresh in-process cache over the same disk layer must serve
-        # the stats, the program facts and the prepared trace without
-        # ever building a workload, compiling, tallying a trace or
+        # the stats and the program facts without ever building a
+        # workload, compiling, running a program, tallying a stream or
         # running a timing lane again.
-        import repro.harness.runner as runner_mod
-
-        def boom(*args, **kwargs):
-            raise AssertionError("recompute attempted on a warm cache")
-
-        monkeypatch.setattr(runner_mod, "build_workload", boom)
-        monkeypatch.setattr(runner_mod, "compile_baseline", boom)
-        monkeypatch.setattr(runner_mod, "compile_program", boom)
-        monkeypatch.setattr(runner_mod, "TraceSummary", boom)
-        monkeypatch.setattr(runner_mod, "run_lanes", boom)
         warm = RunCache(persistent=disk_cache)
+        for name in ("build_workload", "compile_baseline", "compile_program",
+                     "execute_fast", "execute", "TraceSummary", "run_lanes"):
+            monkeypatch.setattr(runner_mod, name, _boom)
         assert warm.stats(UID, config, hardware) == want
         assert warm.program_facts(UID, config) == want_facts
-        run = warm.prepared(UID, config)
-        assert run.trace  # served from disk
-        assert want_facts.committed == TraceSummary(run.trace).committed
+        assert not list(disk_cache.root.glob("trace-*"))
 
-    def test_program_facts_match_their_sources(self):
+    def test_program_facts_match_their_sources(self, cold_quick_suite):
+        """Two tallies of one stream agree: for every (uid, config) the
+        quick figure suite asked facts for, the facts its sweep derived
+        from the decode's FeedMeta equal ``TraceSummary`` of a freshly
+        computed stream."""
+        _disk, cache, _result = cold_quick_suite
+        assert len(cache._facts) == 48  # 6 benchmarks x 8 configs
+        for (uid, config), facts in sorted(
+            cache._facts.items(), key=lambda item: repr(item[0])
+        ):
+            # A sweep of this cache timed the program's stream, so its
+            # facts came from that decode, not from the fallback.
+            assert (uid, cache.program_digest(uid, config)) in cache._tallies
+            summary = TraceSummary(committed_stream(cache, uid, config))
+            assert facts == ProgramFacts(
+                code_size_bytes=cache.compiled_program(
+                    uid, config
+                ).code_size_bytes,
+                committed=summary.committed,
+                checkpoints=summary.checkpoints,
+                spill_stores=summary.spill_stores,
+                all_stores=summary.all_stores,
+            ), (uid, config.name)
+
+    def test_facts_reuse_the_timed_stream(self, monkeypatch):
+        config, hardware = turnpike_scheme()
+        # No stream timed yet: the facts run the stream to tally it.
+        want = RunCache(persistent=None).program_facts(UID, config)
         cache = RunCache(persistent=None)
-        config = turnpike_scheme()[0]
+        cache.run_stream(UID, config, [(CoreConfig(), hardware)])
+        for name in ("execute_fast", "execute", "TraceSummary"):
+            monkeypatch.setattr(runner_mod, name, _boom)
         facts = cache.program_facts(UID, config)
-        summary = TraceSummary(cache.prepared(UID, config).trace)
-        assert facts == ProgramFacts(
-            code_size_bytes=cache.compiled_program(UID, config).code_size_bytes,
-            committed=summary.committed,
-            checkpoints=summary.checkpoints,
-            spill_stores=summary.spill_stores,
-            all_stores=summary.all_stores,
-        )
+        assert facts == want
         assert cache.program_facts(UID, config) is facts  # memoised
         cache.clear()
-        assert not cache._facts
+        assert not cache._facts and not cache._tallies
 
     def test_corrupt_facts_are_recomputed(self, disk_cache):
         config = _baseline_config()
@@ -350,12 +374,13 @@ class TestRunCachePersistence:
     def test_clear_keeps_disk_layer(self, disk_cache):
         config = _baseline_config()
         cache = RunCache(persistent=disk_cache)
-        cache.prepared(UID, config)
+        cache.stats(UID, config, ResilienceHardwareConfig.baseline())
+        cache.program_facts(UID, config)
         n_artifacts = len(disk_cache.artifact_paths())
-        assert n_artifacts > 0
+        assert n_artifacts == 2  # one stats record, one facts record
         cache.clear()
         assert not cache._workloads
-        assert not cache._prepared
+        assert not cache._tallies
         assert not cache._stats
         assert len(disk_cache.artifact_paths()) == n_artifacts
 
@@ -370,13 +395,14 @@ class TestRunCachePersistence:
         assert second.cycles > 0
         assert "poison" not in second.cache
 
-    def test_concurrent_prepared_and_clear(self, disk_cache):
-        """Thread-hammer: concurrent prepared()/stats()/clear() must not
-        corrupt the cache or produce divergent results."""
+    def test_concurrent_stats_and_clear(self, disk_cache):
+        """Thread-hammer: concurrent stats()/program_facts()/clear()
+        must not corrupt the cache or produce divergent results."""
         cache = RunCache(persistent=disk_cache)
         config = _baseline_config()
         hardware = ResilienceHardwareConfig.baseline()
         want = cache.stats(UID, config, hardware)
+        want_facts = cache.program_facts(UID, config)
         errors: list[BaseException] = []
         barrier = threading.Barrier(6)
 
@@ -384,9 +410,8 @@ class TestRunCachePersistence:
             try:
                 barrier.wait()
                 for _ in range(5):
-                    run = cache.prepared(UID, config)
-                    assert run.uid == UID and run.trace
                     assert cache.stats(UID, config, hardware) == want
+                    assert cache.program_facts(UID, config) == want_facts
             except BaseException as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -405,11 +430,6 @@ class TestRunCachePersistence:
         for t in threads:
             t.join()
         assert not errors
-
-    def test_prepared_identity_memoised(self):
-        cache = RunCache(persistent=None)
-        config = _baseline_config()
-        assert cache.prepared(UID, config) is cache.prepared(UID, config)
 
 
 class TestSharding:
@@ -438,11 +458,10 @@ class TestSharding:
             (UID, "baseline"), (UID, "turnstile"), (UID, "turnpike")
         }
         assert all(s.cycles > 0 for s in results.values())
-        # The persistent layer now holds every artefact: one trace per
-        # scheme, and each point's stats under its sweep key and its
-        # config key.
+        # The persistent layer now holds the answers only: one stats
+        # record per point, under its config key, and no trace.
         info = disk.info()
-        assert info["traces"] == 3 and info["stats"] == 6
+        assert info["traces"] == 0 and info["stats"] == 3
 
 
 class TestShardMerge:

@@ -2,13 +2,15 @@
 
 A cold ``figure_suite`` over the six quick-subset benchmarks must render
 exactly the result the benchmark pinned, and every one of its 168 design
-points must carry the pinned ``SimStats``. A second pass from a fresh
-``RunCache`` over the same artifact directory must render the same
-result from persisted artifacts alone: it may not build a workload,
-compile, run the functional simulator, load a trace, tally a stream or
-digest a program. The cold result, rendered as ``repro sweep`` prints
-it, must also match ``tests/fixtures/oracle/sweep-quick.txt`` byte for
-byte (``--update-goldens`` regenerates it).
+points must carry the pinned ``SimStats``. The cold pass persists
+answers only: one stats record per design point, one facts record per
+program, and no trace. A second pass from a fresh ``RunCache`` over the
+same artifact directory must render the same result from those records
+alone: it may not build a workload, compile, run the functional
+simulator, load a trace, tally a stream or digest a program. The cold
+result, rendered as ``repro sweep`` prints it, must also match
+``tests/fixtures/oracle/sweep-quick.txt`` byte for byte
+(``--update-goldens`` regenerates it).
 
 The digests, their definitions and the point labels all come from the
 benchmark (``benchmarks/perf/workloads.py`` and its ``expected.json``),
@@ -51,12 +53,10 @@ EXPECTED = BENCH.load_expected()
 UIDS = [p.uid for p in quick_subset()]
 
 
-@pytest.fixture(scope="module")
-def cold(tmp_path_factory):
-    """One cold quick-subset pass into a fresh artifact directory."""
-    disk = ArtifactCache(tmp_path_factory.mktemp("figure-oracle"))
-    cache = RunCache(persistent=disk)
-    return disk, cache, figure_suite(UIDS, cache=cache)
+@pytest.fixture
+def cold(cold_quick_suite):
+    """The session's cold quick-subset pass (``conftest.py``)."""
+    return cold_quick_suite
 
 
 class TestQuickFigureOracle:
@@ -78,6 +78,14 @@ class TestQuickFigureOracle:
                     labels.append(label)
         assert len(UIDS) * len(pairs) == 168
         assert labels == []
+
+    def test_cold_pass_persists_answers_only(self, cold):
+        disk, cache, _result = cold
+        info = disk.info()
+        assert info["stats"] == len(UIDS) * len(suite_pairs()) == 168
+        assert info["facts"] == len(cache._facts)
+        assert info["traces"] == 0
+        assert not list(disk.root.glob("trace-*.pkl"))
 
     def test_cold_text_matches_fixture(self, cold, update_goldens):
         _disk, _cache, result = cold

@@ -33,17 +33,14 @@ class TestRunCache:
     def test_workload_cached(self, cache):
         assert cache.workload(UID) is cache.workload(UID)
 
-    def test_prepared_cached_by_config(self, cache):
-        a = cache.prepared(UID, turnpike_config())
-        b = cache.prepared(UID, turnpike_config())
+    def test_compiled_program_cached_by_config(self, cache):
+        a = cache.compiled_program(UID, turnpike_config())
+        b = cache.compiled_program(UID, turnpike_config())
         assert a is b
-        c = cache.prepared(UID, turnstile_config())
+        c = cache.compiled_program(UID, turnstile_config())
         assert c is not a
 
-    def test_prepared_distinct_by_sb_size(self, cache):
-        a = cache.prepared(UID, turnstile_config(sb_size=4))
-        b = cache.prepared(UID, turnstile_config(sb_size=40))
-        assert a is not b
+    def test_facts_distinct_by_sb_size(self, cache):
         # Larger SB -> larger regions -> fewer checkpoints.
         small = cache.program_facts(UID, turnstile_config(sb_size=4))
         large = cache.program_facts(UID, turnstile_config(sb_size=40))

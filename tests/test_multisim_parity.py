@@ -28,7 +28,11 @@ The wall has four layers:
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -47,18 +51,20 @@ from repro.runtime import trace as tr
 from repro.runtime.multisim import decode_feed, run_lanes
 from repro.workloads.suites import all_profiles, quick_subset
 
+from helpers import committed_stream
 from timing_reference import ReferenceCore
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 ALL_UIDS = [p.uid for p in all_profiles()]
 QUICK_UIDS = [p.uid for p in quick_subset()]
 
-# One in-memory cache for the whole module: traces compile once, and the
-# engine tests get the exact accessors production uses.
+# One in-memory cache for the whole module: programs compile once, and
+# each test computes the streams it needs and drops them.
 _CACHE = RunCache(persistent=None)
 
 
 def _trace(uid: str, compiler):
-    return _CACHE.prepared(uid, compiler).trace
+    return committed_stream(_CACHE, uid, compiler)
 
 
 def _solo(trace, hw: ResilienceHardwareConfig, core: CoreConfig | None = None):
@@ -288,6 +294,33 @@ class TestEngineEndToEnd:
         sequential = run_sweep(points, cache=RunCache(persistent=None), workers=1)
         pooled = run_sweep(points, cache=RunCache(persistent=None), workers=2)
         assert pooled == sequential
+
+    def test_pooled_sweep_without_persistence_touches_no_disk(self, tmp_path):
+        """Pool workers return their answers to the parent: a pooled
+        sweep over an in-memory cache leaves the default cache directory
+        (bound when the package is imported) empty."""
+        default = tmp_path / "default-cache"
+        script = (
+            "from repro.harness.runner import RunCache, _baseline_config, "
+            "turnpike_scheme\n"
+            "from repro.arch import ResilienceHardwareConfig\n"
+            "from repro.harness.sweep import lattice, run_sweep\n"
+            "pairs = [turnpike_scheme(), "
+            "(_baseline_config(), ResilienceHardwareConfig.baseline())]\n"
+            "points = lattice(['CPU2006.mcf', 'SPLASH3.radix'], pairs)\n"
+            "result = run_sweep(points, cache=RunCache(persistent=None), "
+            "workers=2)\n"
+            "assert len(result) == 4\n"
+        )
+        env = dict(os.environ, REPRO_CACHE_DIR=str(default))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (SRC, env.get("PYTHONPATH")))
+        )
+        subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True, timeout=300
+        )
+        assert default.is_dir()
+        assert sorted(p.name for p in default.iterdir()) == []
 
     def test_persistent_layer_round_trip(self, tmp_path):
         from repro.harness.artifacts import ArtifactCache

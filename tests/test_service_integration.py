@@ -8,6 +8,8 @@ The acceptance-critical properties live here:
   aggregate JSON);
 * duplicate submissions execute at most once;
 * SIGTERM drains the queue and exits 0;
+* a job that outlives its timeout ends ``timeout`` and the server keeps
+  serving: restarting the real process pool does not drain the server;
 * kill -9 mid-campaign followed by a restart re-adopts the job and
   completes it with a byte-identical aggregate.
 
@@ -66,7 +68,9 @@ def _cli(env, *argv, check=True, timeout=240):
 class ServerProc:
     """A ``repro serve`` child in its own process group."""
 
-    def __init__(self, journal: Path, env: dict, workers: int = 2):
+    def __init__(
+        self, journal: Path, env: dict, workers: int = 2, extra: tuple = ()
+    ):
         self.journal = journal
         # a kill -9'd predecessor leaves a stale endpoint file behind;
         # drop it so the readiness wait below sees only the new server's
@@ -75,7 +79,7 @@ class ServerProc:
             [
                 sys.executable, "-m", "repro", "serve",
                 "--journal", str(journal), "--port", "0",
-                "--workers", str(workers),
+                "--workers", str(workers), *extra,
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -221,6 +225,33 @@ def test_sigterm_drains_queue_and_exits_zero(server, cache_dir):
     replayed = Journal(server.journal).replay()
     for job_id in ids:
         assert replayed[job_id].state.value == "done", replayed[job_id]
+
+
+def test_job_timeout_restarts_pool_and_server_keeps_serving(
+    tmp_path, cache_dir
+):
+    # A 1 s default timeout on the real process pool: the campaign
+    # outlives it, so the server restarts the pool (SIGTERM to the
+    # worker). The next job, with a timeout of its own, must complete.
+    srv = ServerProc(
+        tmp_path / "journal", _env(cache_dir), workers=1,
+        extra=("--job-timeout", "1"),
+    )
+    try:
+        client = srv.client()
+        slow, _ = client.submit("inject", {"uid": "SPLASH3.radix", "count": 200})
+        ended = client.wait(slow["id"], timeout=120)
+        assert ended["state"] == "timeout", ended
+        job, _ = client.submit("run", {"uid": RUN_UID}, timeout=240)
+        done = client.wait(job["id"], timeout=240)
+        assert done["state"] == "done", done
+        assert client.result(job["id"])["result"]["exit_code"] == 0
+        metrics = client.metrics()
+        assert metrics["worker_restarts"] == 1
+        assert metrics["jobs"]["timeout"] == 1
+        assert srv.proc.poll() is None  # still serving
+    finally:
+        srv.reap()
 
 
 def test_kill9_mid_campaign_readopts_and_byte_identical(

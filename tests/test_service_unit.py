@@ -455,7 +455,8 @@ class TestServiceEndToEnd:
                 assert status == 200
                 assert set(snap) == {
                     "uptime_s", "queue_depth", "in_flight", "workers",
-                    "worker_restarts", "jobs", "dedup", "latency",
+                    "worker_restarts", "stale_endpoint_replaced", "jobs",
+                    "dedup", "latency",
                 }
                 assert set(snap["jobs"]) == {
                     "submitted", "accepted", "rejected_backpressure",
@@ -648,6 +649,33 @@ class TestServiceEndToEnd:
         asyncio.run(scenario())
 
 
+class TestJobTimeoutFlag:
+    """``serve --job-timeout`` and ``submit --job-timeout`` follow the
+    submission rule: finite seconds > 0, else exit 2 with a message."""
+
+    @pytest.mark.parametrize("value", ["-1", "0", "inf", "nan", "abc"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["serve", "--port", "0"], ["submit", "run", UID]],
+        ids=["serve", "submit"],
+    )
+    def test_bad_value_exits_2(self, argv, value, capsys):
+        from repro.__main__ import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, f"--job-timeout={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--job-timeout" in err and repr(value) in err
+
+    def test_good_value_parses_to_seconds(self):
+        from repro.__main__ import build_parser
+
+        args = build_parser().parse_args(["serve", "--job-timeout", "2.5"])
+        assert args.job_timeout == 2.5
+        assert build_parser().parse_args(["serve"]).job_timeout is None
+
+
 # -- stale endpoint takeover -------------------------------------------------
 
 
@@ -671,9 +699,9 @@ class TestStaleEndpoint:
             service = JobService(config)
             await service.start()
             try:
-                assert (
-                    service.metrics.counters["stale_endpoint_replaced"] == 1
-                )
+                status, snap = await http(service, "GET", "/metrics")
+                assert status == 200
+                assert snap["stale_endpoint_replaced"] == 1
                 journal = Journal(root)
                 assert journal.endpoint_status() == "live"
                 assert journal.read_endpoint() == service.address

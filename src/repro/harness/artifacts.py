@@ -12,11 +12,11 @@ Five artifact kinds are stored (:attr:`ArtifactCache.KINDS`):
 
 * ``trace-<key>.pkl`` — the pickled dynamic trace of one (uid,
   compiler-config) pair. Nothing in the package reads or writes this
-  kind any more: a committed stream lives for one lane batch and is
-  never persisted. The kind (``trace_key``, ``load_trace``,
-  ``store_trace``) is kept only because the benchmark's span tracer
-  (``benchmarks/perf/tracer.py``) wraps those methods by name;
-  ``clear`` still counts and deletes old trace files.
+  kind: a committed stream lives for one lane batch and is never
+  persisted. The kind (``trace_key``, ``load_trace``, ``store_trace``)
+  is kept only because the benchmark's span tracer
+  (``benchmarks/perf/tracer.py``) wraps those methods by name; ``info``
+  counts and ``clear`` deletes the trace files older releases wrote.
 * ``stats-<key>.json`` — a finished :class:`~repro.arch.stats.SimStats`
   for one (uid, compiler, hardware, core) combination: one record per
   design point.

@@ -188,8 +188,8 @@ _MpJob = tuple[
 def _mp_run_batch(job: _MpJob) -> tuple[list[SimStats], StreamTallies]:
     """Worker entry: time one lane batch over a stream made here.
 
-    The worker's cache only memoises workloads and compiles; the parent
-    records the returned stats and tallies.
+    The parent records the returned stats and tallies, so the worker
+    writes nothing to disk.
     """
     uid, compiler, lanes = job
     return GLOBAL_CACHE.run_stream(uid, compiler, lanes)

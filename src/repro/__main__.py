@@ -59,6 +59,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 
@@ -1158,9 +1159,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`main`'s parser, built once per process (no option appends)."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "list": _cmd_list,
         "run": _cmd_run,

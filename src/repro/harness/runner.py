@@ -11,8 +11,8 @@ cooperating layers:
 2. a persistent :class:`~repro.harness.artifacts.ArtifactCache` shared
    across processes and sessions (keyed by a digest of the simulator
    source, so stale artefacts can never survive a code change). It
-   holds answers, not traces: one stats record per design point and
-   one facts record per compiled program;
+   holds answers, not traces: one stats record per design point, which
+   sweeps and ``repro run`` share, and one facts record per program;
 3. multiprocess sharding: :func:`warm_suite` hands a benchmark x scheme
    lattice to :func:`repro.harness.sweep.run_sweep`, whose process pool
    fans lane batches out across cores.
@@ -23,17 +23,16 @@ produces it, times the lanes it is given on the lane kernel of
 :data:`~repro.runtime.multisim.FeedMeta` and drops it. A solo
 :meth:`RunCache.stats` miss is a one-lane batch.
 
-Per-process caches are **independent**: each worker process builds its
-own ``RunCache`` (a fork inherits a snapshot of the parent's, spawn
-starts empty) and they never synchronise in memory. Sweep workers hand
-their results back to the parent, which records them; other
-cross-process reuse flows through the persistent artifact layer, whose
-writes are atomic — two processes may race to produce the same artefact
-and both succeed, one file winning harmlessly.
+Caches in different processes never synchronise in memory: a forked
+sweep worker hands its results back to the parent, and all other
+cross-process reuse (service workers, separate runs) flows through the
+persistent artifact layer, whose writes are atomic — two processes may
+race to produce the same artefact and both succeed, one file winning.
 
 Functional execution uses the fast backend
 (:mod:`repro.runtime.fastsim`) by default; set
-``REPRO_SIM_BACKEND=reference`` to fall back to the golden interpreter.
+``REPRO_SIM_BACKEND=reference`` (or ``RunCache(backend=...)``) to fall
+back to the golden interpreter for the points that miss every cache.
 The two are bit-identical (enforced by the differential parity suite in
 ``tests/test_fastsim_parity.py``), so the choice is invisible to every
 figure.
@@ -102,11 +101,14 @@ class RunCache:
     """
 
     def __init__(
-        self, persistent: ArtifactCache | None | str = "default"
+        self,
+        persistent: ArtifactCache | None | str = "default",
+        backend: str | None = None,
     ) -> None:
         if persistent == "default":
             persistent = ArtifactCache.default()
         self.persistent: ArtifactCache | None = persistent  # type: ignore[assignment]
+        self.backend = backend
         self._lock = threading.RLock()
         self._workloads: dict[str, Workload] = {}
         self._stats: dict[
@@ -169,7 +171,8 @@ class RunCache:
         with self._lock:
             workload = self.workload(uid)
             program = self.compiled_program(uid, config).program
-        run = execute if functional_backend() == "reference" else execute_fast
+        backend = self.backend or functional_backend()
+        run = execute if backend == "reference" else execute_fast
         return run(program, workload.fresh_memory(), collect_trace=True).trace
 
     def run_stream(
@@ -386,48 +389,28 @@ def run_report_text(
 ) -> str:
     """The ``repro run`` report for one benchmark, as text.
 
-    Shared by the CLI handler and anything that needs its exact output
-    (the batch service executes jobs through the CLI entry point, so
-    keeping this single-sourced is what makes service results
-    byte-identical to direct invocations).
+    Formats :meth:`RunCache.stats` of the scheme point and the baseline,
+    looked up through a cache made for the call (a service worker keeps
+    no workload between jobs) over the default artifact layer, so only
+    what no earlier job or sweep persisted runs, on ``backend``.
+    The service runs jobs through the CLI, so both print this text.
     """
-    from repro.compiler.config import turnpike_config, turnstile_config
-    from repro.workloads.suites import load_workload
-
-    run_functional = execute_fast if backend == "fast" else execute
-    workload = load_workload(uid)
     if scheme == "baseline":
-        compiled = compile_baseline(workload.program)
-        hw = ResilienceHardwareConfig.baseline()
+        compiler, hardware = _baseline_config(), ResilienceHardwareConfig.baseline()
     elif scheme == "turnstile":
-        compiled = compile_program(workload.program, turnstile_config(sb_size=sb_size))
-        hw = ResilienceHardwareConfig.turnstile(wcdl=wcdl, sb_size=sb_size)
+        compiler, hardware = turnstile_scheme(wcdl, sb_size)
     else:
-        compiled = compile_program(workload.program, turnpike_config(sb_size=sb_size))
-        hw = ResilienceHardwareConfig.turnpike(wcdl=wcdl, sb_size=sb_size)
-
-    trace = run_functional(
-        compiled.program, workload.fresh_memory(), collect_trace=True
-    ).trace
-    (stats,) = run_lanes(trace, [(CoreConfig(), hw)])
-    # Release the scheme's trace before the baseline's trace and feed
-    # exist, so a job never holds two committed streams at once.
-    del trace
-
-    base = compile_baseline(workload.program)
-    base_trace = run_functional(
-        base.program, workload.fresh_memory(), collect_trace=True
-    ).trace
-    (base_stats,) = run_lanes(
-        base_trace, [(CoreConfig(), ResilienceHardwareConfig.baseline())]
-    )
+        compiler, hardware = turnpike_scheme(wcdl, sb_size)
+    cache = RunCache(backend=backend)
+    stats = cache.stats(uid, compiler, hardware)
+    base_cycles = cache.baseline_cycles(uid)
 
     lines = [
         f"benchmark:        {uid}",
         f"scheme:           {scheme} (WCDL={wcdl}, SB={sb_size})",
         f"instructions:     {stats.instructions}",
         f"cycles:           {stats.cycles:.0f}",
-        f"normalized time:  {stats.cycles / base_stats.cycles:.3f}",
+        f"normalized time:  {stats.cycles / base_cycles:.3f}",
         f"IPC:              {stats.ipc:.2f}",
         f"regions:          {stats.regions} "
         f"(avg {stats.dynamic_region_size:.1f} instr)",

@@ -185,6 +185,11 @@ _MpJob = tuple[
 ]
 
 
+#: The pooled sweep's cache while its pool runs: forked workers reuse
+#: its compiles; spawned ones fall back to ``GLOBAL_CACHE``.
+_POOL_CACHE: RunCache | None = None
+
+
 def _mp_run_batch(job: _MpJob) -> tuple[list[SimStats], StreamTallies]:
     """Worker entry: time one lane batch over a stream made here.
 
@@ -192,7 +197,7 @@ def _mp_run_batch(job: _MpJob) -> tuple[list[SimStats], StreamTallies]:
     writes nothing to disk.
     """
     uid, compiler, lanes = job
-    return GLOBAL_CACHE.run_stream(uid, compiler, lanes)
+    return (_POOL_CACHE or GLOBAL_CACHE).run_stream(uid, compiler, lanes)
 
 
 def _commit(
@@ -233,11 +238,16 @@ def run_sweep(
     if workers > 1 and len(pending) > 1:
         import multiprocessing as mp
 
+        global _POOL_CACHE
         jobs: list[_MpJob] = [
             (b.uid, b.compiler, list(b.lanes)) for b in pending
         ]
-        with mp.get_context().Pool(min(workers, len(jobs))) as pool:
-            results = pool.map(_mp_run_batch, jobs, chunksize=1)
+        _POOL_CACHE = cache
+        try:
+            with mp.get_context().Pool(min(workers, len(jobs))) as pool:
+                results = pool.map(_mp_run_batch, jobs, chunksize=1)
+        finally:
+            _POOL_CACHE = None
         for batch, (lane_stats, tallies) in zip(pending, results, strict=True):
             cache.record_tallies(batch.uid, batch.digest, tallies)
             _commit(cache, batch, lane_stats, computed)

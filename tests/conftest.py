@@ -3,11 +3,24 @@
 from __future__ import annotations
 
 import os
+import shutil
 import sys
+import tempfile
 
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
+
+# The suite writes its artifacts into a directory of its own, never the
+# user's cache. ``GLOBAL_CACHE`` binds its persistent layer when
+# ``repro`` is first imported, so the directory is chosen here, before
+# the first import below. A value the session was started with (``off``
+# in CI's parity jobs) is kept.
+SESSION_CACHE_DIR: str | None = None
+if "REPRO_CACHE_DIR" not in os.environ:
+    SESSION_CACHE_DIR = tempfile.mkdtemp(prefix="repro-tests-cache-")
+    os.environ["REPRO_CACHE_DIR"] = SESSION_CACHE_DIR
+SESSION_CACHE_ENV = os.environ["REPRO_CACHE_DIR"]
 
 from repro.compiler.config import turnpike_config, turnstile_config
 from repro.compiler.pipeline import compile_baseline, compile_program
@@ -28,9 +41,21 @@ def pytest_addoption(parser):
     )
 
 
+def pytest_sessionfinish(session, exitstatus):
+    if SESSION_CACHE_DIR is not None:
+        shutil.rmtree(SESSION_CACHE_DIR, ignore_errors=True)
+
+
 @pytest.fixture(scope="session")
 def update_goldens(request) -> bool:
     return request.config.getoption("--update-goldens")
+
+
+@pytest.fixture(scope="session")
+def session_cache_env() -> str:
+    """``REPRO_CACHE_DIR`` as this session runs with it: the directory
+    chosen above, or the value the session was started with."""
+    return SESSION_CACHE_ENV
 
 
 @pytest.fixture(scope="session")

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +174,16 @@ class TestArtifactCache:
         cache = ArtifactCache.default()
         assert cache is not None
         assert cache.root == tmp_path / "c"
+
+    def test_suite_never_writes_the_users_cache(self, session_cache_env):
+        """``GLOBAL_CACHE`` is bound to the directory ``conftest`` chose
+        for the session, or to the value the session started with."""
+        disk = runner_mod.GLOBAL_CACHE.persistent
+        if session_cache_env.strip().lower() in ("", "0", "off", "none"):
+            assert disk is None
+        else:
+            assert disk is not None
+            assert disk.root == Path(session_cache_env).expanduser()
 
     def test_code_digest_stable(self):
         assert artifacts.code_digest() == artifacts.code_digest()

@@ -1,7 +1,14 @@
-"""Harness tests: caching, normalized-time plumbing, reporting."""
+"""Harness tests: caching, normalized-time plumbing, the ``repro run``
+report, reporting."""
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
+import repro.harness.runner as runner
+from repro.__main__ import main as cli_main
 from repro.arch.config import ResilienceHardwareConfig
 from repro.compiler.config import turnpike_config, turnstile_config
 from repro.harness.experiments import Series
@@ -16,12 +23,19 @@ from repro.harness.runner import (
     default_benchmarks,
     geomean,
     normalized_time,
+    run_report_text,
     simulate,
     turnpike_scheme,
     turnstile_scheme,
 )
 
 UID = "CPU2006.gcc"
+#: The benchmark's pinned service-batch stdout digests: an oracle for
+#: the report text that lives outside the code it checks.
+SERVICE_DIGESTS = (
+    Path(__file__).resolve().parents[1] / "benchmarks" / "perf" / "expected.json"
+)
+REPORT_UIDS = ("CPU2017.bwaves", "CPU2017.exchange2", "SPLASH3.radix")
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +97,84 @@ class TestSimulate:
 
     def test_default_benchmarks_are_36(self):
         assert len(default_benchmarks()) == 36
+
+
+def _counted(monkeypatch, name: str) -> list[int]:
+    """Count the calls of the runner's functional executor ``name``."""
+    calls: list[int] = []
+    real = getattr(runner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, name, counted)
+    return calls
+
+
+class TestRunReport:
+    """``repro run`` formats two ``RunCache.stats`` lookups: the
+    scheme's design point and the benchmark's baseline."""
+
+    def test_text_matches_the_pinned_service_digests(
+        self, monkeypatch, tmp_path
+    ):
+        pinned = json.loads(SERVICE_DIGESTS.read_text())["service_stdout"]
+        labels = [
+            (uid, scheme, wcdl)
+            for uid in REPORT_UIDS
+            for scheme in ("turnstile", "turnpike")
+            for wcdl in (10, 30, 50)
+        ]
+        # Into an empty cache directory, again warm, and with no
+        # artifact layer at all.
+        for phase, cache_dir in (
+            ("cold", str(tmp_path)), ("warm", str(tmp_path)), ("off", "0"),
+        ):
+            monkeypatch.setenv("REPRO_CACHE_DIR", cache_dir)
+            for uid, scheme, wcdl in labels:
+                text = run_report_text(uid, scheme=scheme, wcdl=wcdl) + "\n"
+                digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+                label = f"{uid}|{scheme}|{wcdl}"
+                assert digest == pinned[label], (phase, label)
+            if phase == "cold":
+                # One record per scheme point, one baseline per uid.
+                stats = list(tmp_path.glob("stats-*.json"))
+                assert len(stats) == len(REPORT_UIDS) * 7
+
+    def test_each_point_executes_once(self, monkeypatch, tmp_path):
+        calls = _counted(monkeypatch, "execute_fast")
+
+        def executions(scheme: str, wcdl: int) -> int:
+            before = len(calls)
+            run_report_text(UID, scheme=scheme, wcdl=wcdl)
+            return len(calls) - before
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "shared"))
+        assert executions("turnpike", 10) == 2  # the point and the baseline
+        assert executions("turnstile", 30) == 1  # the baseline is read back
+        assert executions("turnpike", 10) == 0
+        assert executions("turnstile", 30) == 0
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "fresh"))
+        assert executions("baseline", 10) == 1  # the point is the baseline
+
+    def test_backend_picks_the_executor_of_a_miss(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        fast = _counted(monkeypatch, "execute_fast")
+        reference = _counted(monkeypatch, "execute")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert cli_main(["run", UID, "--backend", "reference"]) == 0
+        assert (len(reference), len(fast)) == (2, 0)
+        by_reference = capsys.readouterr().out
+        # A hit runs no executor, whichever backend is asked for.
+        assert cli_main(["run", UID, "--backend", "fast"]) == 0
+        assert (len(reference), len(fast)) == (2, 0)
+        assert capsys.readouterr().out == by_reference
+        monkeypatch.setenv("REPRO_CACHE_DIR", "off")
+        assert cli_main(["run", UID]) == 0
+        assert (len(reference), len(fast)) == (2, 2)
+        assert capsys.readouterr().out == by_reference
 
 
 class TestReporting:

@@ -28,6 +28,7 @@ The wall has four layers:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -294,6 +295,36 @@ class TestEngineEndToEnd:
         sequential = run_sweep(points, cache=RunCache(persistent=None), workers=1)
         pooled = run_sweep(points, cache=RunCache(persistent=None), workers=2)
         assert pooled == sequential
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="only a forked worker inherits the sweep's cache",
+    )
+    def test_pool_workers_compile_nothing(self, monkeypatch, tmp_path):
+        """Forked workers produce streams through the sweep's own cache,
+        which holds every program its planner compiled."""
+        import repro.harness.runner as runner
+        import repro.harness.sweep as sweep
+
+        log = tmp_path / "compiles"
+
+        def logged(compile_fn):
+            def wrapper(*args, **kwargs):
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                return compile_fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("compile_program", "compile_baseline"):
+            monkeypatch.setattr(runner, name, logged(getattr(runner, name)))
+        # A worker that fell back to the global cache would compile.
+        monkeypatch.setattr(sweep, "GLOBAL_CACHE", RunCache(persistent=None))
+        pairs = [turnpike_scheme(), turnstile_scheme()]
+        points = lattice(["CPU2017.exchange2", "SPLASH3.radix"], pairs)
+        pooled = run_sweep(points, cache=RunCache(persistent=None), workers=2)
+        assert set(log.read_text().split()) == {str(os.getpid())}
+        assert pooled == run_sweep(points, cache=RunCache(persistent=None))
 
     def test_pooled_sweep_without_persistence_touches_no_disk(self, tmp_path):
         """Pool workers return their answers to the parent: a pooled

@@ -89,3 +89,62 @@ class TestCLI:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             cli_main(["frobnicate"])
+
+
+#: Every subcommand; a flag given in one call is omitted in the next.
+PARSES = [
+    ["list"],
+    ["run", "CPU2006.mcf", "--wcdl", "30", "--sb", "8",
+     "--scheme", "turnstile", "--backend", "reference"],
+    ["run", "CPU2006.mcf"],
+    ["inject", "CPU2006.bzip2", "--count", "4", "--manifest", "m.json",
+     "--resume", "--accel", "off"],
+    ["inject"],
+    ["vuln", "SPLASH3.radix", "--format", "json", "--no-cache"],
+    ["vuln", "--validate"],
+    ["lint", "--all", "--strict", "--workers", "2"],
+    ["lint", "CPU2006.mcf"],
+    ["figure", "fig19"],
+    ["sweep", "fig19", "fig20", "--benchmarks", "CPU2006.mcf", "--json"],
+    ["sweep"],
+    ["ecc", "--pareto", "--codes", "sec,secded"],
+    ["ecc"],
+    ["cache", "info", "--list", "--json"],
+    ["cache", "prune"],
+    ["sensors", "--clock", "3.0"],
+    ["sensors"],
+    ["serve", "--port", "0", "--workers", "1", "--job-timeout", "5"],
+    ["serve"],
+    ["submit", "run", "CPU2006.mcf", "--wcdl", "50", "--wait"],
+    ["submit", "run", "CPU2006.mcf"],
+    ["submit", "lint", "CPU2006.mcf", "--priority", "3"],
+    ["jobs", "--json", "--mine"],
+    ["jobs"],
+    ["result", "abc123", "--wait"],
+    ["result", "abc123"],
+]
+
+
+class TestSharedParser:
+    def test_main_builds_its_parser_once(self, monkeypatch, capsys):
+        import repro.__main__ as cli
+
+        builds = []
+        real = cli.build_parser
+
+        def counted():
+            builds.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        assert cli_main(["list"]) == 0
+        assert cli_main(["sensors"]) == 0
+        assert len(builds) == 1
+
+    def test_reused_parser_parses_like_a_fresh_one(self):
+        from repro.__main__ import _parser, build_parser
+
+        shared = _parser()
+        for argv in PARSES:
+            assert shared.parse_args(argv) == build_parser().parse_args(argv)

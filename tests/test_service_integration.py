@@ -149,6 +149,11 @@ def test_run_and_lint_parity_via_submit_cli(server, cache_dir):
         direct = _cli(env, *direct_argv, timeout=300)
         assert via_service.stdout == direct.stdout  # byte-for-byte
         assert via_service.stdout  # non-vacuous
+        if direct_argv[0] == "run":
+            # The direct run read the stats records the job wrote; a
+            # recomputation must print the same bytes.
+            cold = _cli({**env, "REPRO_CACHE_DIR": "off"}, *direct_argv)
+            assert cold.stdout == via_service.stdout
 
 
 def test_inject_parity_and_dedup(server, tmp_path, cache_dir):

@@ -3,8 +3,9 @@
 Commands:
   list                       — list the 36 benchmarks
   run <uid> [--wcdl N] [--sb N] [--scheme turnpike|turnstile|baseline]
-      [--backend fast|reference]
-                             — compile + simulate one benchmark
+                             — time one benchmark's design point and its
+                               baseline (read from the artifact cache
+                               when an earlier run or sweep stored them)
   inject [uid] [--count N] [--wcdl N] [--targets a,b] [--workers N]
          [--manifest PATH] [--resume] [--export PATH]
          [--accel on|off] [--snapshot-interval N]
@@ -33,9 +34,9 @@ Commands:
                                2 usage); --workers shards --all across
                                processes
   figure <id>                — regenerate one figure/table on the full
-                               suite (fig4, fig14, fig15, fig18, fig19,
-                               fig20, fig21, fig22, fig23, fig24, fig25,
-                               fig26, table1)
+                               suite, as ``sweep <id>`` prints it (fig4,
+                               fig14, fig15, fig18, fig19, fig20, fig21,
+                               fig22, fig23, fig24, fig25, fig26, table1)
   cache info|clear|warm|prune [--workers N] [--list] [--json]
                              — inspect, empty, pre-populate, or
                                generation-sync the persistent
@@ -49,8 +50,11 @@ Commands:
                              — run the async batch job service
                                (HTTP/JSON; queue + dedup + crash-safe
                                journal; drains gracefully on SIGTERM)
-  submit run|inject|lint|vuln ... [--wait] [--priority P]
-         [--endpoint H:P]   — submit a job to a running service
+  submit run|inject|lint|vuln|sweep|ecc ... [--wait] [--priority P]
+         [--endpoint H:P]   — submit a job to a running service; each
+                               kind takes the job flags of ``repro
+                               <kind>`` (one option table declares them
+                               in :mod:`repro.service.jobs`)
   jobs [--json] [--mine]     — list service jobs
   result <job-id> [--wait]   — fetch a job's output (exits with the
                                job's own exit code)
@@ -80,7 +84,6 @@ def _cmd_run(args) -> int:
             scheme=args.scheme,
             wcdl=args.wcdl,
             sb_size=args.sb,
-            backend=args.backend,
         )
     )
     return 0
@@ -235,71 +238,9 @@ def _cmd_figure(args) -> int:
     from repro.harness import experiments as exp
     from repro.harness import reporting as rep
 
-    fid = args.id.lower()
-    if fid in ("fig4", "fig04"):
-        result = exp.fig04_checkpoint_ratio()
-        print(rep.format_series_table(
-            [result[40], result[4]], value_format="{:.3f}", aggregate="mean",
-            title="Figure 4 - checkpoint ratio vs SB size"))
-    elif fid in ("fig14", "fig15"):
-        result = exp.fig14_fig15_clq_designs()
-        key = "overhead" if fid == "fig14" else "warfree_ratio"
-        print(rep.format_series_table(
-            [result[key]["ideal"], result[key]["compact"]],
-            value_format="{:.3f}",
-            title=f"Figure {fid[3:]} - ideal vs compact CLQ"))
-    elif fid == "fig18":
-        for clock, points in exp.fig18_sensor_latency().items():
-            print(f"{clock} GHz: " + "  ".join(f"{n}->{lat:.1f}cy" for n, lat in points))
-    elif fid == "fig19":
-        result = exp.fig19_turnpike_wcdl()
-        print(rep.format_series_table(
-            [result[w] for w in sorted(result)],
-            title="Figure 19 - Turnpike overhead vs WCDL"))
-    elif fid == "fig20":
-        result = exp.fig20_turnstile_wcdl()
-        print(rep.format_series_table(
-            [result[w] for w in sorted(result)],
-            title="Figure 20 - Turnstile overhead vs WCDL"))
-    elif fid == "fig21":
-        print(rep.format_series_table(
-            exp.fig21_ablation(), title="Figure 21 - optimization ablation"))
-    elif fid == "fig22":
-        result = exp.fig22_sb_sensitivity()
-        series = [result["turnstile"][s] for s in sorted(result["turnstile"])]
-        series += [result["turnpike"][s] for s in sorted(result["turnpike"])]
-        print(rep.format_series_table(series, title="Figure 22 - SB sensitivity"))
-    elif fid == "fig23":
-        breakdown = exp.fig23_store_breakdown()
-        print(rep.format_breakdown_table(breakdown))
-        means = exp.breakdown_means(breakdown)
-        print("means:", "  ".join(f"{k}={100 * v:.1f}%" for k, v in means.items()))
-    elif fid == "fig24":
-        print(rep.format_mapping_table(
-            exp.fig24_clq_occupancy(), headers=("average", "maximum"),
-            title="Figure 24 - CLQ occupancy"))
-    elif fid == "fig25":
-        result = exp.fig25_clq_size()
-        print(rep.format_series_table(
-            [result[2], result[4]], value_format="{:.3f}",
-            title="Figure 25 - CLQ-2 vs CLQ-4"))
-    elif fid == "fig26":
-        data = exp.fig26_region_codesize()
-        print(rep.format_mapping_table(
-            {k: (v[0], 100 * v[1]) for k, v in data.items()},
-            headers=("region size", "growth %"),
-            title="Figure 26 - region size / code growth"))
-    elif fid == "table1":
-        print(rep.format_table1(exp.table1_hw_cost()))
-    else:
-        print(f"unknown figure id {args.id!r}", file=sys.stderr)
-        return 2
+    results = exp.figure_suite(figures=tuple(args.id.split(",")))
+    print(rep.format_figure_suite(results), end="")
     return 0
-
-
-_SWEEP_ALIASES = {
-    "fig4": "fig04", "fig14": "fig14_15", "fig15": "fig14_15",
-}
 
 
 def _sweep_json(name: str, result) -> object:
@@ -372,7 +313,7 @@ def _sweep_ecc_fan(args) -> int:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started
-    if args.json:
+    if args.format == "json":
         payload: dict = {
             label: {
                 "spec": report.spec.to_dict(),
@@ -405,14 +346,7 @@ def _cmd_sweep(args) -> int:
 
     if args.ecc_codes:
         return _sweep_ecc_fan(args)
-    wanted = None
-    if args.figures:
-        wanted = tuple(
-            dict.fromkeys(
-                _SWEEP_ALIASES.get(fid.lower(), fid.lower())
-                for fid in args.figures
-            )
-        )
+    wanted = tuple(",".join(args.figures).split(",")) if args.figures else None
     benchmarks = args.benchmarks.split(",") if args.benchmarks else None
     workers = resolve_workers(args.workers)
     started = time.perf_counter()
@@ -424,7 +358,7 @@ def _cmd_sweep(args) -> int:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started
-    if args.json:
+    if args.format == "json":
         payload = {
             name: _sweep_json(name, result)
             for name, result in results.items()
@@ -452,13 +386,13 @@ def _cmd_ecc(args) -> int:
     from repro.ecc.faultmodel import parse_patterns
 
     codes = (
-        tuple(c.strip() for c in args.codes.split(",") if c.strip())
+        tuple(args.codes.split(","))
         if args.codes
         else default_codes()
     )
     structures = (
-        tuple(s.strip() for s in args.structure.split(",") if s.strip())
-        if args.structure
+        tuple(args.structures.split(","))
+        if args.structures
         else default_structures()
     )
     try:
@@ -629,6 +563,7 @@ def _add_client_flags(parser: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
+    from repro.service.jobs import FIGURES, JOB_KINDS, add_job_options
 
     parser = argparse.ArgumentParser(
         prog="repro", description="Turnpike reproduction toolkit"
@@ -641,43 +576,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list benchmarks")
 
     run_p = sub.add_parser("run", help="compile + simulate one benchmark")
-    run_p.add_argument("uid")
-    run_p.add_argument("--wcdl", type=int, default=10)
-    run_p.add_argument("--sb", type=int, default=4)
-    run_p.add_argument(
-        "--scheme",
-        choices=("turnpike", "turnstile", "baseline"),
-        default="turnpike",
-    )
-    run_p.add_argument(
-        "--backend",
-        choices=("fast", "reference"),
-        default="fast",
-        help="functional simulation backend (fast: compiled basic-block "
-        "replay; reference: the golden interpreter)",
-    )
+    add_job_options(run_p, "run")
 
     inj_p = sub.add_parser("inject", help="fault-injection campaign")
-    inj_p.add_argument("uid", nargs="?", default="SPLASH3.radix")
-    inj_p.add_argument("--count", type=int, default=30)
-    inj_p.add_argument("--wcdl", type=int, default=10)
-    inj_p.add_argument("--seed", type=int, default=2024)
-    inj_p.add_argument(
-        "--targets",
-        default="register,store_buffer,clq,coloring",
-        help="comma-separated structures to strike (register, store_buffer,"
-        " clq, coloring, checkpoint, pc, memory)",
-    )
-    inj_p.add_argument(
-        "--variants",
-        default="turnstile,warfree,turnpike,unsafe",
-        help="comma-separated protocol variants to diff",
-    )
+    add_job_options(inj_p, "inject")
     inj_p.add_argument(
         "--workers", type=int, default=1, help="worker processes for shards"
-    )
-    inj_p.add_argument(
-        "--shard-size", type=int, default=8, help="injections per shard"
     )
     inj_p.add_argument(
         "--manifest",
@@ -691,21 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     inj_p.add_argument(
         "--export", default=None, help="write the aggregate JSON to this path"
-    )
-    inj_p.add_argument(
-        "--accel",
-        choices=("on", "off"),
-        default="on",
-        help="snapshot acceleration: golden-run memoization, injection "
-        "fast-forward, and convergence early-exit (observationally "
-        "invisible; aggregate JSON is byte-identical either way)",
-    )
-    inj_p.add_argument(
-        "--snapshot-interval",
-        type=int,
-        default=None,
-        help="ticks between golden-run snapshots (<= 0: fingerprints only, "
-        "no fast-forward)",
     )
     inj_p.add_argument(
         "--sample",
@@ -736,40 +625,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="--sample: injections per masked stratum spent cross-checking "
         "the static masked claim",
     )
-    inj_p.add_argument(
-        "--ecc",
-        default=None,
-        metavar="CODE",
-        help="decode struck words through a real ECC (parity, sec, secded, "
-        "secdaec, bch) instead of the abstract parity fail-safe; "
-        "miscorrections substitute the wrong value and surface as the "
-        "'miscorrected' outcome",
-    )
-    inj_p.add_argument(
-        "--upset",
-        default=None,
-        metavar="PATTERN",
-        help="multi-bit upset shape per strike (single, adjacent-double, "
-        "burst<k>, random<k>, column<k>; default: the historical "
-        "single/double draw)",
-    )
 
     vuln_p = sub.add_parser(
         "vuln", help="bit-level vulnerability analysis"
     )
-    vuln_p.add_argument("uid", nargs="?", default=None)
-    vuln_p.add_argument(
-        "--scheme", choices=("turnpike", "turnstile"), default="turnpike"
-    )
-    vuln_p.add_argument("--wcdl", type=int, default=10)
-    vuln_p.add_argument(
-        "--variants",
-        default="turnstile,warfree,turnpike",
-        help="comma-separated protocol variants to classify under",
-    )
-    vuln_p.add_argument(
-        "--format", choices=("text", "json"), default="text"
-    )
+    add_job_options(vuln_p, "vuln")
     vuln_p.add_argument(
         "--no-cache",
         action="store_true",
@@ -795,27 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p = sub.add_parser(
         "lint", help="statically verify compiled benchmarks"
     )
-    lint_p.add_argument("uid", nargs="?", default=None)
-    lint_p.add_argument(
-        "--all", action="store_true", help="lint every benchmark"
-    )
-    lint_p.add_argument(
-        "--scheme", choices=("turnpike", "turnstile"), default="turnpike"
-    )
-    lint_p.add_argument("--sb", type=int, default=4)
-    lint_p.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text"
-    )
-    lint_p.add_argument(
-        "--no-differential",
-        action="store_true",
-        help="skip the dynamic WAR cross-check (static rules only)",
-    )
-    lint_p.add_argument(
-        "--strict",
-        action="store_true",
-        help="treat warnings as failures",
-    )
+    add_job_options(lint_p, "lint")
     lint_p.add_argument(
         "--max-per-rule",
         type=int,
@@ -832,44 +672,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for --all (default: REPRO_WORKERS or 1; "
         "0 means one per CPU)",
     )
-    lint_p.add_argument(
-        "--upset-model",
-        default="single",
-        metavar="PATTERN",
-        help="fault model R9 checks the declared protection codes "
-        "against (single, adjacent-double, burst<k>, random<k>, "
-        "column<k>; default single)",
-    )
 
     fig_p = sub.add_parser("figure", help="regenerate a figure/table")
-    fig_p.add_argument("id")
+    fig_p.add_argument("id", type=FIGURES.from_text)
 
     sweep_p = sub.add_parser(
         "sweep",
         help="evaluate figure lattices through the multi-lane sweep engine",
     )
-    sweep_p.add_argument(
-        "figures",
-        nargs="*",
-        help="figure ids to sweep (default: the whole suite); shared "
-        "design points are evaluated once",
-    )
-    sweep_p.add_argument(
-        "--benchmarks",
-        default=None,
-        help="comma-separated benchmark uids (default: all 36)",
-    )
+    add_job_options(sweep_p, "sweep")
     sweep_p.add_argument(
         "--workers",
         type=int,
         default=None,
         help="worker processes for lane batches (default: REPRO_WORKERS "
         "or 1; 0 means one per CPU)",
-    )
-    sweep_p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit machine-readable JSON instead of tables",
     )
     sweep_p.add_argument(
         "--ecc-codes",
@@ -918,49 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ecc",
         help="explore the ECC design space (codes x structures x upsets)",
     )
-    ecc_p.add_argument(
-        "--codes",
-        default=None,
-        metavar="CODES",
-        help="comma-separated codes to evaluate (parity, sec, secded, "
-        "secdaec, bch; default: all)",
-    )
-    ecc_p.add_argument(
-        "--structure",
-        default=None,
-        metavar="NAMES",
-        help="comma-separated protected structures (sb, clq, checkpoint; "
-        "default: all)",
-    )
-    ecc_p.add_argument(
-        "--patterns",
-        default="single,adjacent-double,burst3",
-        metavar="PATTERNS",
-        help="comma-separated upset shapes (single, adjacent-double, "
-        "burst<k>, random<k>, column<k>)",
-    )
-    ecc_p.add_argument(
-        "--pareto",
-        action="store_true",
-        help="mark the per-structure Pareto frontier (coverage up, "
-        "area/energy down)",
-    )
-    ecc_p.add_argument(
-        "--interleave",
-        action="store_true",
-        help="also evaluate bit-interleaved codeword layouts",
-    )
-    ecc_p.add_argument(
-        "--trials",
-        type=int,
-        default=2000,
-        help="Monte-Carlo trials per (layout, pattern) when the instance "
-        "set is too large to enumerate",
-    )
-    ecc_p.add_argument("--seed", type=int, default=0)
-    ecc_p.add_argument(
-        "--format", choices=("text", "json"), default="text"
-    )
+    add_job_options(ecc_p, "ecc")
 
     cache_p = sub.add_parser(
         "cache", help="manage the persistent simulation artifact cache"
@@ -1029,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit a job to a running service"
     )
     kind_sub = submit_p.add_subparsers(dest="kind", required=True)
-    for kind in ("run", "inject", "lint", "vuln", "sweep", "ecc"):
+    for kind in JOB_KINDS:
         kp = kind_sub.add_parser(kind, help=f"submit a {kind} job")
         _add_client_flags(kp)
         kp.add_argument(
@@ -1051,97 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
             "the job's exit code",
         )
         kp.add_argument("--wait-timeout", type=float, default=None)
-        if kind == "run":
-            kp.add_argument("uid")
-            kp.add_argument("--wcdl", type=int, default=None)
-            kp.add_argument("--sb", type=int, default=None)
-            kp.add_argument(
-                "--scheme",
-                choices=("turnpike", "turnstile", "baseline"),
-                default=None,
-            )
-            kp.add_argument(
-                "--backend",
-                choices=("fast", "reference"),
-                default=None,
-            )
-        elif kind == "inject":
-            kp.add_argument("uid", nargs="?", default=None)
-            kp.add_argument("--count", type=int, default=None)
-            kp.add_argument("--wcdl", type=int, default=None)
-            kp.add_argument("--seed", type=int, default=None)
-            kp.add_argument("--targets", default=None)
-            kp.add_argument("--variants", default=None)
-            kp.add_argument(
-                "--shard-size", dest="shard_size", type=int, default=None
-            )
-            kp.add_argument("--accel", choices=("on", "off"), default=None)
-            kp.add_argument(
-                "--snapshot-interval",
-                dest="snapshot_interval",
-                type=int,
-                default=None,
-            )
-            kp.add_argument("--ecc", default=None, metavar="CODE")
-            kp.add_argument("--upset", default=None, metavar="PATTERN")
-        elif kind == "lint":
-            kp.add_argument("uid", nargs="?", default=None)
-            kp.add_argument("--all", action="store_true")
-            kp.add_argument(
-                "--scheme", choices=("turnpike", "turnstile"), default=None
-            )
-            kp.add_argument("--sb", type=int, default=None)
-            kp.add_argument(
-                "--format", choices=("text", "json", "sarif"), default=None
-            )
-            kp.add_argument("--no-differential", action="store_true")
-            kp.add_argument("--strict", action="store_true")
-            kp.add_argument(
-                "--upset-model",
-                dest="upset_model",
-                default=None,
-                metavar="PATTERN",
-            )
-        elif kind == "vuln":
-            kp.add_argument("uid")
-            kp.add_argument("--wcdl", type=int, default=None)
-            kp.add_argument(
-                "--scheme", choices=("turnpike", "turnstile"), default=None
-            )
-            kp.add_argument("--variants", default=None)
-            kp.add_argument(
-                "--format", choices=("text", "json"), default=None
-            )
-        elif kind == "sweep":
-            kp.add_argument(
-                "--figures",
-                default=None,
-                help="comma-separated figure ids (default: whole suite)",
-            )
-            kp.add_argument(
-                "--benchmarks",
-                default=None,
-                help="comma-separated benchmark uids (default: all 36)",
-            )
-            kp.add_argument(
-                "--format", choices=("text", "json"), default=None
-            )
-        else:  # ecc
-            kp.add_argument("--codes", default=None, metavar="CODES")
-            kp.add_argument(
-                "--structure",
-                dest="structures",
-                default=None,
-                metavar="NAMES",
-            )
-            kp.add_argument("--patterns", default=None, metavar="PATTERNS")
-            kp.add_argument("--pareto", action="store_true")
-            kp.add_argument("--interleave", action="store_true")
-            kp.add_argument("--trials", type=int, default=None)
-            kp.add_argument("--seed", type=int, default=None)
-            kp.add_argument(
-                "--format", choices=("text", "json"), default=None
-            )
+        add_job_options(kp, kind, submit=True)
 
     jobs_p = sub.add_parser("jobs", help="list jobs on a running service")
     _add_client_flags(jobs_p)
@@ -1166,7 +851,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (2), --help or --version (0)
+        return exc.code
     handlers = {
         "list": _cmd_list,
         "run": _cmd_run,

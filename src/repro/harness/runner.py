@@ -29,13 +29,10 @@ cross-process reuse (service workers, separate runs) flows through the
 persistent artifact layer, whose writes are atomic — two processes may
 race to produce the same artefact and both succeed, one file winning.
 
-Functional execution uses the fast backend
-(:mod:`repro.runtime.fastsim`) by default; set
-``REPRO_SIM_BACKEND=reference`` (or ``RunCache(backend=...)``) to fall
-back to the golden interpreter for the points that miss every cache.
-The two are bit-identical (enforced by the differential parity suite in
-``tests/test_fastsim_parity.py``), so the choice is invisible to every
-figure.
+Functional execution has one executor, :mod:`repro.runtime.fastsim`.
+The golden interpreter (:mod:`repro.runtime.interpreter`) is its parity
+reference: the two are bit-identical, which
+``tests/test_fastsim_parity.py`` enforces.
 """
 
 from __future__ import annotations
@@ -52,24 +49,12 @@ from repro.compiler.config import CompilerConfig, turnpike_config, turnstile_con
 from repro.compiler.pipeline import CompiledProgram, compile_baseline, compile_program
 from repro.harness.artifacts import ArtifactCache, ProgramFacts
 from repro.runtime.fastsim import execute_fast
-from repro.runtime.interpreter import execute
+# Unused here, but benchmarks/perf/tracer.py wraps it under this module.
+from repro.runtime.interpreter import execute  # noqa: F401
 from repro.runtime.multisim import run_lanes
 from repro.runtime.trace import TraceSummary
 from repro.workloads.generator import Workload, build_workload
 from repro.workloads.suites import all_profiles, profile as lookup_profile
-
-
-def functional_backend() -> str:
-    """``"fast"`` (default) or ``"reference"``, from REPRO_SIM_BACKEND.
-
-    The two are bit-identical.
-    """
-    backend = os.environ.get("REPRO_SIM_BACKEND", "fast").strip().lower()
-    if backend not in ("fast", "reference"):
-        raise ValueError(
-            f"REPRO_SIM_BACKEND={backend!r}: expected 'fast' or 'reference'"
-        )
-    return backend
 
 
 def _baseline_config() -> CompilerConfig:
@@ -103,12 +88,10 @@ class RunCache:
     def __init__(
         self,
         persistent: ArtifactCache | None | str = "default",
-        backend: str | None = None,
     ) -> None:
         if persistent == "default":
             persistent = ArtifactCache.default()
         self.persistent: ArtifactCache | None = persistent  # type: ignore[assignment]
-        self.backend = backend
         self._lock = threading.RLock()
         self._workloads: dict[str, Workload] = {}
         self._stats: dict[
@@ -120,9 +103,9 @@ class RunCache:
         # group design points by structural program digest.
         self._compiled: dict[tuple[str, CompilerConfig], CompiledProgram] = {}
         self._digests: dict[tuple[str, CompilerConfig], str] = {}
-        # Tallies of every stream timed here, by (uid, program digest):
-        # digest-equal configs commit the same stream.
-        self._tallies: dict[tuple[str, str], StreamTallies] = {}
+        # Tallies of every stream timed here, by uid and config; a
+        # digest-equal config commits the same stream.
+        self._tallies: dict[str, dict[CompilerConfig, StreamTallies]] = {}
         self._facts: dict[tuple[str, CompilerConfig], ProgramFacts] = {}
 
     def workload(self, uid: str) -> Workload:
@@ -171,9 +154,9 @@ class RunCache:
         with self._lock:
             workload = self.workload(uid)
             program = self.compiled_program(uid, config).program
-        backend = self.backend or functional_backend()
-        run = execute if backend == "reference" else execute_fast
-        return run(program, workload.fresh_memory(), collect_trace=True).trace
+        return execute_fast(
+            program, workload.fresh_memory(), collect_trace=True
+        ).trace
 
     def run_stream(
         self,
@@ -193,15 +176,31 @@ class RunCache:
         stats = run_lanes(self._stream(uid, config), lanes, feeds)
         meta = next(iter(feeds.values()))[2]
         tallies = (meta[0], meta[4], meta[3], meta[2] + meta[4])
-        self.record_tallies(uid, self.program_digest(uid, config), tallies)
+        self.record_tallies(uid, config, tallies)
         return stats, tallies
 
     def record_tallies(
-        self, uid: str, digest: str, tallies: StreamTallies
+        self, uid: str, config: CompilerConfig, tallies: StreamTallies
     ) -> None:
-        """Note the tallies of the stream of (uid, program digest)."""
+        """Note the tallies of the stream of (uid, config)."""
         with self._lock:
-            self._tallies[(uid, digest)] = tallies
+            self._tallies.setdefault(uid, {})[config] = tallies
+
+    def timed_tallies(
+        self, uid: str, config: CompilerConfig
+    ) -> StreamTallies | None:
+        """Tallies of a stream of this program timed here: its own
+        config's, else a digest-equal config's (the planner memoised
+        the digests of every config a sweep timed)."""
+        with self._lock:
+            timed = self._tallies.get(uid, {})
+            if config in timed:
+                return timed[config]
+            digest = self.program_digest(uid, config)
+            for other, tallies in timed.items():
+                if self.program_digest(uid, other) == digest:
+                    return tallies
+            return None
 
     def program_facts(self, uid: str, config: CompilerConfig) -> ProgramFacts:
         """Code size and stream tallies of one compiled program.
@@ -222,9 +221,7 @@ class RunCache:
                 )
             if facts is None:
                 compiled = self.compiled_program(uid, config)
-                tallies = self._tallies.get(
-                    (uid, self.program_digest(uid, config))
-                )
+                tallies = self.timed_tallies(uid, config)
                 if tallies is None:
                     summary = TraceSummary(self._stream(uid, config))
                     tallies = (
@@ -385,14 +382,13 @@ def run_report_text(
     scheme: str = "turnpike",
     wcdl: int = 10,
     sb_size: int = 4,
-    backend: str = "fast",
 ) -> str:
     """The ``repro run`` report for one benchmark, as text.
 
     Formats :meth:`RunCache.stats` of the scheme point and the baseline,
     looked up through a cache made for the call (a service worker keeps
     no workload between jobs) over the default artifact layer, so only
-    what no earlier job or sweep persisted runs, on ``backend``.
+    what no earlier job or sweep persisted runs.
     The service runs jobs through the CLI, so both print this text.
     """
     if scheme == "baseline":
@@ -401,7 +397,7 @@ def run_report_text(
         compiler, hardware = turnstile_scheme(wcdl, sb_size)
     else:
         compiler, hardware = turnpike_scheme(wcdl, sb_size)
-    cache = RunCache(backend=backend)
+    cache = RunCache()
     stats = cache.stats(uid, compiler, hardware)
     base_cycles = cache.baseline_cycles(uid)
 

@@ -249,7 +249,7 @@ def run_sweep(
         finally:
             _POOL_CACHE = None
         for batch, (lane_stats, tallies) in zip(pending, results, strict=True):
-            cache.record_tallies(batch.uid, batch.digest, tallies)
+            cache.record_tallies(batch.uid, batch.compiler, tallies)
             _commit(cache, batch, lane_stats, computed)
     else:
         for batch in pending:

@@ -1,9 +1,18 @@
 """Typed job specs, lifecycle states, and content-addressed identity.
 
 A job is one CLI-equivalent unit of work (``run`` / ``inject`` /
-``lint`` / ``vuln`` / ``sweep`` / ``ecc``). Its :class:`JobSpec` is
-normalised at construction — unknown
-parameters rejected, defaults filled in, choices validated — so that two
+``lint`` / ``vuln`` / ``sweep`` / ``ecc``). Each of its options is one
+:class:`Option` row of ``_SCHEMAS``, which declares the option once for
+both front ends: the rows build the job options of ``repro <kind>`` and
+the whole ``repro submit <kind>`` parser (:func:`add_job_options`),
+collect a parsed command line back into parameters
+(:func:`params_from_args`), validate a submission
+(:meth:`JobSpec.create`) and spell the argv a worker runs
+(:meth:`JobSpec.to_argv`). A value is checked by the same rule whether
+it arrives as CLI text or as JSON.
+
+A :class:`JobSpec` is normalised at construction — unknown parameters
+rejected, defaults filled in, values canonicalised — so that two
 submissions meaning the same thing always produce the same canonical
 parameter dict, the same canonical argv, and therefore the same dedup
 key no matter how the client spelled them.
@@ -17,17 +26,17 @@ semantics change.
 
 from __future__ import annotations
 
+import argparse
 import enum
 import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.harness.artifacts import code_digest
 
-#: Parameter schema per job kind: name -> (default, validator).
-#: ``REQUIRED`` marks parameters that must be supplied by the client.
+#: ``default`` of a parameter that must be supplied by the client.
 REQUIRED = object()
 
 
@@ -86,13 +95,20 @@ def _csv(value: Any) -> str:
     return ",".join(part.strip() for part in value.split(",") if part.strip())
 
 
+#: Figure ids also accepted for suite entries, in any case.
+_FIGURE_ALIASES = {"fig4": "fig04", "fig14": "fig14_15", "fig15": "fig14_15"}
+
+
 def _opt_figures(value: Any) -> str | None:
     """Comma-separated figure ids, canonicalised to suite order."""
     if value is None:
         return None
     from repro.harness.experiments import FIGURE_SUITE
 
-    names = set(_csv(value).split(","))
+    names = {
+        _FIGURE_ALIASES.get(name, name)
+        for name in _csv(value).lower().split(",")
+    }
     unknown = sorted(names - set(FIGURE_SUITE))
     if unknown:
         raise ValueError(
@@ -174,62 +190,229 @@ def _patterns(value: Any) -> str:
     return ",".join(p.name for p in parse_patterns(value))
 
 
-_SCHEMAS: dict[str, dict[str, tuple[Any, Any]]] = {
-    "run": {
-        "uid": (REQUIRED, _uid),
-        "wcdl": (10, _int(1)),
-        "sb": (4, _int(1)),
-        "scheme": ("turnpike", _str_choice("turnpike", "turnstile", "baseline")),
-        "backend": ("fast", _str_choice("fast", "reference")),
-    },
-    "inject": {
-        "uid": ("SPLASH3.radix", _uid),
-        "count": (30, _int(1)),
-        "wcdl": (10, _int(1)),
-        "seed": (2024, _int()),
-        "targets": ("register,store_buffer,clq,coloring", _csv),
-        "variants": ("turnstile,warfree,turnpike,unsafe", _csv),
-        "shard_size": (8, _int(1)),
-        "accel": ("on", _str_choice("on", "off")),
-        "snapshot_interval": (None, _opt_int),
-        "ecc": (None, _opt_ecc_code),
-        "upset": (None, _opt_upset),
-    },
-    "lint": {
-        "uid": (None, _opt_uid),
-        "all": (False, _bool),
-        "scheme": ("turnpike", _str_choice("turnpike", "turnstile")),
-        "sb": (4, _int(1)),
-        "format": ("text", _str_choice("text", "json", "sarif")),
-        "differential": (True, _bool),
-        "strict": (False, _bool),
-        "upset_model": ("single", _upset),
-    },
-    "vuln": {
-        "uid": (REQUIRED, _uid),
-        "scheme": ("turnpike", _str_choice("turnpike", "turnstile")),
-        "wcdl": (10, _int(1)),
-        "variants": ("turnstile,warfree,turnpike", _csv),
-        "format": ("text", _str_choice("text", "json")),
-    },
-    "sweep": {
-        "figures": (None, _opt_figures),
-        "benchmarks": (None, _opt_uids),
-        "format": ("text", _str_choice("text", "json")),
-    },
-    "ecc": {
-        "codes": (None, _opt_ecc_codes),
-        "structures": (None, _opt_structures),
-        "patterns": ("single,adjacent-double,burst3", _patterns),
-        "trials": (2000, _int(1)),
-        "seed": (0, _int()),
-        "pareto": (False, _bool),
-        "interleave": (False, _bool),
-        "format": ("text", _str_choice("text", "json")),
-    },
+@dataclass(frozen=True)
+class Option:
+    """One job option: its job field, its check and its CLI spelling.
+
+    ``name`` is the job field and the argparse ``dest``; ``default`` is
+    a JSON value or :data:`REQUIRED`; ``check`` turns a JSON value into
+    its canonical value or raises ``ValueError``. ``flag`` is the CLI
+    flag (``None``: a positional), ``parse`` turns CLI text into a JSON
+    value, and ``const`` is the value a bare flag sets. A positional
+    with ``nargs="*"`` is stored as a comma list.
+    """
+
+    name: str
+    default: Any
+    check: Callable[[Any], Any]
+    flag: str | None = None
+    parse: Callable[[str], Any] = str
+    const: Any = None
+    nargs: str | None = None
+    choices: tuple[str, ...] | None = None
+    metavar: str | None = None
+    help: str | None = None
+
+    def from_text(self, text: str) -> Any:
+        """argparse ``type=``: the canonical value of one CLI word."""
+        try:
+            value = self.parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {self.parse.__name__} value: {text!r}"
+            ) from None
+        try:
+            return self.check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _choice(
+    name: str, flag: str, *choices: str, help: str | None = None
+) -> Option:
+    """A flag taking one of ``choices``; the first is the default."""
+    return Option(name, choices[0], _str_choice(*choices), flag,
+                  choices=choices, help=help)
+
+
+_WCDL = Option("wcdl", 10, _int(1), "--wcdl", int)
+_SB = Option("sb", 4, _int(1), "--sb", int)
+_SCHEME = _choice("scheme", "--scheme", "turnpike", "turnstile")
+_FORMAT = _choice("format", "--format", "text", "json")
+#: Also the id of ``repro figure``.
+FIGURES = Option(
+    "figures", None, _opt_figures, nargs="*",
+    help="figure ids to sweep (default: the whole suite); shared design "
+    "points are evaluated once",
+)
+
+#: Every job kind's options, in canonical field order.
+_SCHEMAS: dict[str, tuple[Option, ...]] = {
+    "run": (
+        Option("uid", REQUIRED, _uid),
+        _WCDL,
+        _SB,
+        _choice("scheme", "--scheme", "turnpike", "turnstile", "baseline"),
+    ),
+    "inject": (
+        Option("uid", "SPLASH3.radix", _uid, nargs="?"),
+        Option("count", 30, _int(1), "--count", int),
+        _WCDL,
+        Option("seed", 2024, _int(), "--seed", int),
+        Option(
+            "targets", "register,store_buffer,clq,coloring", _csv, "--targets",
+            help="comma-separated structures to strike (register, "
+            "store_buffer, clq, coloring, checkpoint, pc, memory)",
+        ),
+        Option(
+            "variants", "turnstile,warfree,turnpike,unsafe", _csv,
+            "--variants", help="comma-separated protocol variants to diff",
+        ),
+        Option("shard_size", 8, _int(1), "--shard-size", int,
+               help="injections per shard"),
+        _choice(
+            "accel", "--accel", "on", "off",
+            help="snapshot acceleration: golden-run memoization, injection "
+            "fast-forward, and convergence early-exit (observationally "
+            "invisible; aggregate JSON is byte-identical either way)",
+        ),
+        Option(
+            "snapshot_interval", None, _opt_int, "--snapshot-interval", int,
+            help="ticks between golden-run snapshots (<= 0: fingerprints "
+            "only, no fast-forward)",
+        ),
+        Option(
+            "ecc", None, _opt_ecc_code, "--ecc", metavar="CODE",
+            help="decode struck words through a real ECC (parity, sec, "
+            "secded, secdaec, bch) instead of the abstract parity "
+            "fail-safe; miscorrections substitute the wrong value and "
+            "surface as the 'miscorrected' outcome",
+        ),
+        Option(
+            "upset", None, _opt_upset, "--upset", metavar="PATTERN",
+            help="multi-bit upset shape per strike (single, "
+            "adjacent-double, burst<k>, random<k>, column<k>; default: "
+            "the historical single/double draw)",
+        ),
+    ),
+    "lint": (
+        Option("uid", None, _opt_uid, nargs="?"),
+        Option("all", False, _bool, "--all", const=True,
+               help="lint every benchmark"),
+        _SCHEME,
+        _SB,
+        _choice("format", "--format", "text", "json", "sarif"),
+        Option(
+            "differential", True, _bool, "--no-differential", const=False,
+            help="skip the dynamic WAR cross-check (static rules only)",
+        ),
+        Option("strict", False, _bool, "--strict", const=True,
+               help="treat warnings as failures"),
+        Option(
+            "upset_model", "single", _upset, "--upset-model",
+            metavar="PATTERN",
+            help="fault model R9 checks the declared protection codes "
+            "against (single, adjacent-double, burst<k>, random<k>, "
+            "column<k>; default single)",
+        ),
+    ),
+    "vuln": (
+        Option("uid", REQUIRED, _uid, nargs="?"),
+        _SCHEME,
+        _WCDL,
+        Option(
+            "variants", "turnstile,warfree,turnpike", _csv, "--variants",
+            help="comma-separated protocol variants to classify under",
+        ),
+        _FORMAT,
+    ),
+    "sweep": (
+        FIGURES,
+        Option("benchmarks", None, _opt_uids, "--benchmarks",
+               help="comma-separated benchmark uids (default: all 36)"),
+        Option(
+            "format", "text", _str_choice("text", "json"), "--json",
+            const="json",
+            help="emit machine-readable JSON instead of tables",
+        ),
+    ),
+    "ecc": (
+        Option(
+            "codes", None, _opt_ecc_codes, "--codes", metavar="CODES",
+            help="comma-separated codes to evaluate (parity, sec, secded, "
+            "secdaec, bch; default: all)",
+        ),
+        Option(
+            "structures", None, _opt_structures, "--structure",
+            metavar="NAMES",
+            help="comma-separated protected structures (sb, clq, "
+            "checkpoint; default: all)",
+        ),
+        Option(
+            "patterns", "single,adjacent-double,burst3", _patterns,
+            "--patterns", metavar="PATTERNS",
+            help="comma-separated upset shapes (single, adjacent-double, "
+            "burst<k>, random<k>, column<k>)",
+        ),
+        Option(
+            "trials", 2000, _int(1), "--trials", int,
+            help="Monte-Carlo trials per (layout, pattern) when the "
+            "instance set is too large to enumerate",
+        ),
+        Option("seed", 0, _int(), "--seed", int),
+        Option(
+            "pareto", False, _bool, "--pareto", const=True,
+            help="mark the per-structure Pareto frontier (coverage up, "
+            "area/energy down)",
+        ),
+        Option("interleave", False, _bool, "--interleave", const=True,
+               help="also evaluate bit-interleaved codeword layouts"),
+        _FORMAT,
+    ),
 }
 
 JOB_KINDS = tuple(_SCHEMAS)
+
+#: Kinds whose jobs run on one worker process: the service's own pool
+#: is the unit of concurrency.
+_ONE_WORKER = ("inject", "lint", "sweep")
+
+
+def add_job_options(
+    parser: argparse.ArgumentParser, kind: str, submit: bool = False
+) -> None:
+    """Declare ``kind``'s job options on ``parser``.
+
+    ``repro <kind>`` gets each option's default (``None`` for a required
+    positional that ``nargs="?"`` lets a CLI-only mode omit). ``repro
+    submit <kind>`` gets ``None`` everywhere, so the client sends only
+    what was given and a bare submission dedupes with a spelled-out one.
+    """
+    for opt in _SCHEMAS[kind]:
+        default = None if submit or opt.default is REQUIRED else opt.default
+        names = (opt.flag,) if opt.flag else (opt.name,)
+        kwargs: dict[str, Any] = {"default": default, "help": opt.help}
+        if opt.flag:
+            kwargs["dest"] = opt.name
+        if opt.const is not None:
+            kwargs.update(action="store_const", const=opt.const)
+        else:
+            kwargs.update(type=opt.from_text, nargs=opt.nargs,
+                          choices=opt.choices, metavar=opt.metavar)
+        parser.add_argument(*names, **kwargs)
+
+
+def params_from_args(kind: str, args: argparse.Namespace) -> dict[str, Any]:
+    """The job parameters a parsed command line holds: every option
+    that has a value, a ``nargs="*"`` positional as its comma list."""
+    params: dict[str, Any] = {}
+    for opt in _SCHEMAS[kind]:
+        value = getattr(args, opt.name)
+        if opt.nargs == "*":
+            value = ",".join(value) or None
+        if value is not None:
+            params[opt.name] = value
+    return params
 
 
 @dataclass(frozen=True)
@@ -247,20 +430,20 @@ class JobSpec:
             )
         schema = _SCHEMAS[kind]
         params = dict(params or {})
-        unknown = sorted(set(params) - set(schema))
+        unknown = sorted(set(params) - {opt.name for opt in schema})
         if unknown:
             raise ValueError(f"unknown {kind} parameter(s): {', '.join(unknown)}")
         normal: dict[str, Any] = {}
-        for name, (default, check) in schema.items():
-            if name in params:
+        for opt in schema:
+            if opt.name in params:
                 try:
-                    normal[name] = check(params[name])
+                    normal[opt.name] = opt.check(params[opt.name])
                 except ValueError as exc:
-                    raise ValueError(f"{kind}.{name}: {exc}") from None
-            elif default is REQUIRED:
-                raise ValueError(f"{kind}.{name} is required")
+                    raise ValueError(f"{kind}.{opt.name}: {exc}") from None
+            elif opt.default is REQUIRED:
+                raise ValueError(f"{kind}.{opt.name} is required")
             else:
-                normal[name] = default
+                normal[opt.name] = opt.default
         if kind == "lint" and normal["uid"] is None and not normal["all"]:
             raise ValueError("lint needs a benchmark uid or all=true")
         if kind == "lint" and normal["uid"] is not None and normal["all"]:
@@ -268,7 +451,7 @@ class JobSpec:
         # Canonical order: the schema's declaration order, always fully
         # materialised — submissions that differ only in spelling or in
         # which defaults they omitted become identical specs.
-        return cls(kind, tuple((name, normal[name]) for name in schema))
+        return cls(kind, tuple((opt.name, normal[opt.name]) for opt in schema))
 
     def as_dict(self) -> dict[str, Any]:
         return dict(self.params)
@@ -278,85 +461,21 @@ class JobSpec:
 
         Workers run jobs through the real CLI entry point, so service
         results are byte-identical to direct invocations by
-        construction. Parallelism flags are pinned to one worker: the
-        service's own pool is the unit of concurrency.
+        construction. Parallelism flags are pinned to one worker.
         """
-        p = self.as_dict()
-        if self.kind == "run":
-            return [
-                "run", p["uid"],
-                "--wcdl", str(p["wcdl"]),
-                "--sb", str(p["sb"]),
-                "--scheme", p["scheme"],
-                "--backend", p["backend"],
-            ]
-        if self.kind == "inject":
-            argv = [
-                "inject", p["uid"],
-                "--count", str(p["count"]),
-                "--wcdl", str(p["wcdl"]),
-                "--seed", str(p["seed"]),
-                "--targets", p["targets"],
-                "--variants", p["variants"],
-                "--shard-size", str(p["shard_size"]),
-                "--workers", "1",
-                "--accel", p["accel"],
-            ]
-            if p["snapshot_interval"] is not None:
-                argv += ["--snapshot-interval", str(p["snapshot_interval"])]
-            if p["ecc"] is not None:
-                argv += ["--ecc", p["ecc"]]
-            if p["upset"] is not None:
-                argv += ["--upset", p["upset"]]
-            return argv
-        if self.kind == "vuln":
-            return [
-                "vuln", p["uid"],
-                "--scheme", p["scheme"],
-                "--wcdl", str(p["wcdl"]),
-                "--variants", p["variants"],
-                "--format", p["format"],
-            ]
-        if self.kind == "ecc":
-            argv = ["ecc"]
-            if p["codes"] is not None:
-                argv += ["--codes", p["codes"]]
-            if p["structures"] is not None:
-                argv += ["--structure", p["structures"]]
-            argv += [
-                "--patterns", p["patterns"],
-                "--trials", str(p["trials"]),
-                "--seed", str(p["seed"]),
-            ]
-            if p["pareto"]:
-                argv.append("--pareto")
-            if p["interleave"]:
-                argv.append("--interleave")
-            argv += ["--format", p["format"]]
-            return argv
-        if self.kind == "sweep":
-            argv = ["sweep"]
-            if p["figures"] is not None:
-                argv += p["figures"].split(",")
-            if p["benchmarks"] is not None:
-                argv += ["--benchmarks", p["benchmarks"]]
+        argv = [self.kind]
+        for opt, (_name, value) in zip(_SCHEMAS[self.kind], self.params):
+            if value is None:
+                continue
+            if opt.const is not None:
+                if value == opt.const:
+                    argv.append(opt.flag)
+            elif opt.flag is None:
+                argv += value.split(",") if opt.nargs == "*" else [value]
+            else:
+                argv += [opt.flag, str(value)]
+        if self.kind in _ONE_WORKER:
             argv += ["--workers", "1"]
-            if p["format"] == "json":
-                argv.append("--json")
-            return argv
-        argv = ["lint"]
-        argv += ["--all"] if p["all"] else [p["uid"]]
-        argv += [
-            "--scheme", p["scheme"],
-            "--sb", str(p["sb"]),
-            "--format", p["format"],
-            "--workers", "1",
-            "--upset-model", p["upset_model"],
-        ]
-        if not p["differential"]:
-            argv.append("--no-differential")
-        if p["strict"]:
-            argv.append("--strict")
         return argv
 
 
@@ -441,7 +560,12 @@ class JobRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "JobRecord":
-        spec = JobSpec.create(data["kind"], data["spec"])
+        params = dict(data["spec"])
+        if data["kind"] == "run":
+            # A retired field: every run journaled while it existed
+            # holds "backend": "fast".
+            params.pop("backend", None)
+        spec = JobSpec.create(data["kind"], params)
         rec = cls(
             id=data["id"],
             spec=spec,

@@ -108,7 +108,11 @@ def _lint_all(
 
 
 def run_lint(args: argparse.Namespace, out: TextIO | None = None) -> int:
-    """Handler for ``repro lint`` (argparse namespace in, exit code out)."""
+    """Handler for ``repro lint`` (argparse namespace in, exit code out).
+
+    The parser has already checked each value (a known uid, a known
+    upset model); only the uid-xor-``--all`` rule is left to check.
+    """
     from repro.workloads.suites import all_profiles
 
     # Resolve the stream at call time so output redirection (pytest
@@ -126,32 +130,17 @@ def run_lint(args: argparse.Namespace, out: TextIO | None = None) -> int:
     uids = (
         [p.uid for p in all_profiles()] if args.all else [args.uid]
     )
-    known = {p.uid for p in all_profiles()}
-    unknown = [u for u in uids if u not in known]
-    if unknown:
-        print(f"lint: unknown benchmark(s): {', '.join(unknown)}",
-              file=sys.stderr)
-        return EXIT_USAGE
 
     from repro.harness.runner import resolve_workers
-
-    upset_model = getattr(args, "upset_model", None) or "single"
-    try:
-        from repro.ecc.faultmodel import pattern
-
-        pattern(upset_model)
-    except ValueError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
     workers = resolve_workers(getattr(args, "workers", None))
     results = _lint_all(
         uids,
         scheme=args.scheme,
         sb_size=args.sb,
-        differential=not args.no_differential,
+        differential=args.differential,
         workers=workers,
-        upset_model=upset_model,
+        upset_model=getattr(args, "upset_model", "single"),
     )
     reports = [report for _, report, _ in results if report is not None]
     crashed = [(uid, error) for uid, report, error in results if report is None]

@@ -348,7 +348,7 @@ class TestRunCachePersistence:
         ):
             # A sweep of this cache timed the program's stream, so its
             # facts came from that decode, not from the fallback.
-            assert (uid, cache.program_digest(uid, config)) in cache._tallies
+            assert cache.timed_tallies(uid, config) is not None
             summary = TraceSummary(committed_stream(cache, uid, config))
             assert facts == ProgramFacts(
                 code_size_bytes=cache.compiled_program(

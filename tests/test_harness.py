@@ -99,16 +99,16 @@ class TestSimulate:
         assert len(default_benchmarks()) == 36
 
 
-def _counted(monkeypatch, name: str) -> list[int]:
-    """Count the calls of the runner's functional executor ``name``."""
+def _counted(monkeypatch, name: str, module=runner) -> list[int]:
+    """Count the calls of ``module.name`` (a runner executor by default)."""
     calls: list[int] = []
-    real = getattr(runner, name)
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(runner, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -158,23 +158,28 @@ class TestRunReport:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "fresh"))
         assert executions("baseline", 10) == 1  # the point is the baseline
 
-    def test_backend_picks_the_executor_of_a_miss(
+    def test_a_cold_run_digests_no_program(
         self, monkeypatch, tmp_path, capsys
     ):
-        fast = _counted(monkeypatch, "execute_fast")
-        reference = _counted(monkeypatch, "execute")
+        """Only program facts read a program digest; ``repro run`` asks
+        for none."""
+        import repro.runtime.codegen as codegen
+
+        digests = _counted(monkeypatch, "program_digest", codegen)
+        runs = _counted(monkeypatch, "execute_fast")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert cli_main(["run", UID, "--backend", "reference"]) == 0
-        assert (len(reference), len(fast)) == (2, 0)
-        by_reference = capsys.readouterr().out
-        # A hit runs no executor, whichever backend is asked for.
-        assert cli_main(["run", UID, "--backend", "fast"]) == 0
-        assert (len(reference), len(fast)) == (2, 0)
-        assert capsys.readouterr().out == by_reference
-        monkeypatch.setenv("REPRO_CACHE_DIR", "off")
-        assert cli_main(["run", UID]) == 0
-        assert (len(reference), len(fast)) == (2, 2)
-        assert capsys.readouterr().out == by_reference
+        assert cli_main(["run", UID, "--wcdl", "30"]) == 0
+        assert "normalized time" in capsys.readouterr().out
+        assert (len(runs), len(digests)) == (2, 0)
+
+    def test_facts_after_a_solo_miss_run_no_stream(self, monkeypatch):
+        cache = RunCache(persistent=None)
+        config, hardware = turnpike_scheme()
+        cache.stats(UID, config, hardware)
+        runs = _counted(monkeypatch, "execute_fast")
+        facts = cache.program_facts(UID, config)
+        assert runs == []
+        assert facts.committed == cache.stats(UID, config, hardware).instructions
 
 
 class TestReporting:

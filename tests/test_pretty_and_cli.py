@@ -86,16 +86,38 @@ class TestCLI:
     def test_figure_unknown(self, capsys):
         assert cli_main(["figure", "fig99"]) == 2
 
+    def test_figure_prints_what_sweep_prints(self, capsys):
+        assert cli_main(["sweep", "FIG18", "table1"]) == 0
+        swept = capsys.readouterr().out
+        assert cli_main(["figure", "fig18,table1"]) == 0
+        # Less the sweep's timing line.
+        assert capsys.readouterr().out == swept[: swept.rindex("swept ")]
+
     def test_unknown_command_exits(self):
-        with pytest.raises(SystemExit):
-            cli_main(["frobnicate"])
+        assert cli_main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "CPU2006.mcf", "--sb", "0"], "--sb: expected >= 1"),
+            (["run", "CPU2006.mcf", "--wcdl", "0"], "--wcdl: expected >= 1"),
+            (["run", "NOPE.nope"], "unknown benchmark uid 'NOPE.nope'"),
+            (["lint", "CPU2006.mcf", "--sb", "0"], "--sb: expected >= 1"),
+            (["vuln", "CPU2006.mcf", "--wcdl", "0"], "--wcdl: expected >= 1"),
+            (["sweep", "fig99"], "unknown figure id(s): fig99"),
+        ],
+        ids=["run-sb", "run-wcdl", "run-uid", "lint-sb", "vuln-wcdl", "sweep"],
+    )
+    def test_values_the_service_rejects_exit_2(self, argv, message, capsys):
+        assert cli_main(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 #: Every subcommand; a flag given in one call is omitted in the next.
 PARSES = [
     ["list"],
     ["run", "CPU2006.mcf", "--wcdl", "30", "--sb", "8",
-     "--scheme", "turnstile", "--backend", "reference"],
+     "--scheme", "turnstile"],
     ["run", "CPU2006.mcf"],
     ["inject", "CPU2006.bzip2", "--count", "4", "--manifest", "m.json",
      "--resume", "--accel", "off"],

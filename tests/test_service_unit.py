@@ -20,13 +20,29 @@ import time
 from concurrent.futures import BrokenExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.__main__ import build_parser
+from repro.ecc.codes import CODE_NAMES
+from repro.ecc.faultmodel import PATTERN_NAMES
+from repro.ecc.layout import STRUCTURES
+from repro.harness.experiments import FIGURE_SUITE
 from repro.service.client import (
     ServiceClient,
     StaleEndpointError,
     resolve_endpoint,
 )
-from repro.service.jobs import JobRecord, JobSpec, JobState, job_key
+from repro.service.jobs import (
+    _SCHEMAS,
+    JOB_KINDS,
+    REQUIRED,
+    JobRecord,
+    JobSpec,
+    JobState,
+    job_key,
+    params_from_args,
+)
 from repro.service.journal import Journal
 from repro.service.metrics import LatencyHistogram, ServiceMetrics
 from repro.service.scheduler import FairScheduler, QueueFull
@@ -34,6 +50,74 @@ from repro.service.server import JobService, ServiceConfig
 
 UID = "CPU2006.gcc"
 UID2 = "SPLASH3.radix"
+UIDS = ("CPU2006.gcc", "CPU2006.mcf", "SPLASH3.radix", "CPU2017.lbm")
+
+
+def _names(pool) -> st.SearchStrategy[str]:
+    """A comma list drawn from ``pool``, repeats and any order allowed."""
+    return st.lists(st.sampled_from(pool), min_size=1, max_size=4).map(
+        ",".join
+    )
+
+
+#: The domain of every option that is neither a choice nor a bare flag.
+DOMAINS = {
+    "uid": st.sampled_from(UIDS),
+    "wcdl": st.integers(1, 100),
+    "sb": st.integers(1, 64),
+    "count": st.integers(1, 500),
+    "seed": st.integers(-(2**31), 2**31),
+    "targets": _names(("register", "store_buffer", "clq", "coloring", "pc")),
+    "variants": _names(("turnstile", "warfree", "turnpike", "unsafe")),
+    "shard_size": st.integers(1, 64),
+    "snapshot_interval": st.integers(-8, 4096),
+    "ecc": st.sampled_from(CODE_NAMES),
+    "upset": st.sampled_from(PATTERN_NAMES),
+    "upset_model": st.sampled_from(PATTERN_NAMES),
+    "figures": _names(FIGURE_SUITE + ("fig4", "FIG14", "Fig15")),
+    "benchmarks": _names(UIDS),
+    "codes": _names(CODE_NAMES),
+    "structures": _names(tuple(STRUCTURES)),
+    "patterns": _names(PATTERN_NAMES),
+    "trials": st.integers(1, 5000),
+}
+
+#: Options of ``repro <kind>`` that are no job field.
+CLI_ONLY = {
+    "run": set(),
+    "inject": {"workers", "manifest", "resume", "export", "sample",
+               "ci_width", "confidence", "token_rate"},
+    "lint": {"output", "max_per_rule", "workers"},
+    "vuln": {"no_cache", "validate", "seed", "ci_width"},
+    "sweep": {"workers", "ecc_codes", "ecc_uid", "ecc_count", "ecc_seed",
+              "ecc_wcdl", "ecc_targets", "ecc_variants", "ecc_upset"},
+    "ecc": set(),
+}
+
+#: Options of every ``repro submit <kind>`` that are no job field.
+SUBMIT_ONLY = {"endpoint", "journal", "client", "no_handshake", "priority",
+               "job_timeout", "wait", "wait_timeout"}
+
+
+@st.composite
+def job_params(draw, kind: str) -> dict:
+    """Parameters of one ``kind`` job: each option given or omitted."""
+    params = {}
+    for opt in _SCHEMAS[kind]:
+        if opt.choices:
+            values = st.sampled_from(opt.choices)
+        elif opt.const is not None:
+            values = st.sampled_from((opt.default, opt.const))
+        else:
+            values = DOMAINS[opt.name]
+        if opt.default is REQUIRED or draw(st.booleans()):
+            params[opt.name] = draw(values)
+    if kind == "lint":  # a uid or all=true, not both
+        if params.get("all"):
+            params.pop("uid", None)
+        else:
+            params.setdefault("uid", UID)
+    return params
 
 
 def _job(client="a", priority=10, uid=UID, seed=None):
@@ -54,11 +138,20 @@ class TestJobSpec:
     def test_defaults_and_spelling_dedupe(self):
         bare = JobSpec.create("run", {"uid": UID})
         spelled = JobSpec.create(
-            "run", {"uid": UID, "wcdl": 10, "sb": 4, "scheme": "turnpike",
-                    "backend": "fast"}
+            "run", {"uid": UID, "wcdl": 10, "sb": 4, "scheme": "turnpike"}
         )
         assert bare == spelled
         assert job_key(bare) == job_key(spelled)
+
+    def test_bare_and_spelled_submissions_collect_one_spec(self):
+        parser = build_parser()
+        specs = {
+            JobSpec.create("run", params_from_args("run", parser.parse_args(
+                ["submit", "run", "CPU2006.mcf", *flags]
+            )))
+            for flags in ([], ["--wcdl", "10", "--scheme", "turnpike"])
+        }
+        assert len(specs) == 1
 
     def test_different_specs_different_keys(self):
         a = JobSpec.create("run", {"uid": UID})
@@ -85,6 +178,17 @@ class TestJobSpec:
             JobSpec.create("run", {"uid": "NOPE.nope"})
         with pytest.raises(ValueError, match="expected an integer"):
             JobSpec.create("run", {"uid": UID, "wcdl": "ten"})
+        with pytest.raises(ValueError, match=r"unknown run parameter\(s\): backend"):
+            JobSpec.create("run", {"uid": UID, "backend": "fast"})
+
+    def test_figure_aliases_canonicalise(self):
+        for alias in ("fig4", "FIG04"):
+            spec = JobSpec.create("sweep", {"figures": alias})
+            assert spec.as_dict()["figures"] == "fig04"
+        spec = JobSpec.create("sweep", {"figures": "fig18,Fig15,fig14"})
+        assert spec.as_dict()["figures"] == "fig14_15,fig18"
+        args = build_parser().parse_args(["submit", "sweep", "fig4"])
+        assert params_from_args("sweep", args) == {"figures": "fig04"}
 
     def test_lint_uid_xor_all(self):
         with pytest.raises(ValueError, match="uid or all"):
@@ -93,19 +197,33 @@ class TestJobSpec:
             JobSpec.create("lint", {"uid": UID, "all": True})
         JobSpec.create("lint", {"all": True})  # ok
 
-    def test_argv_round_trips_through_cli_parser(self):
-        """Every canonical argv must parse under the real CLI parser."""
-        from repro.__main__ import build_parser
-
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_argv_round_trips_through_cli_parser(self, data):
+        """Every kind's canonical argv parses back to the spec it came
+        from, through ``repro <kind>`` and through ``repro submit
+        <kind>`` (which takes the same job flags)."""
         parser = build_parser()
-        for spec in (
-            JobSpec.create("run", {"uid": UID}),
-            JobSpec.create("inject", {"uid": UID2, "count": 3}),
-            JobSpec.create("lint", {"all": True, "strict": True}),
-            JobSpec.create("lint", {"uid": UID, "differential": False}),
-        ):
-            args = parser.parse_args(spec.to_argv())
-            assert args.command == spec.kind
+        for kind in JOB_KINDS:
+            spec = JobSpec.create(kind, data.draw(job_params(kind), label=kind))
+            argv = spec.to_argv()
+            args = parser.parse_args(argv)
+            assert JobSpec.create(kind, params_from_args(kind, args)) == spec
+            if "--workers" in argv:  # pinned for the worker, no job field
+                at = argv.index("--workers")
+                del argv[at:at + 2]
+            args = parser.parse_args(["submit", *argv])
+            assert JobSpec.create(kind, params_from_args(kind, args)) == spec
+
+    @pytest.mark.parametrize("kind", JOB_KINDS)
+    def test_cli_options_are_rows_or_listed(self, kind):
+        """A flag added to argparse alone, not to the job table, fails."""
+        argv = [kind, UID] if kind == "run" else [kind]
+        rows = {opt.name for opt in _SCHEMAS[kind]}
+        cli = set(vars(build_parser().parse_args(argv))) - {"command"}
+        assert cli == rows | CLI_ONLY[kind]
+        submit = set(vars(build_parser().parse_args(["submit", *argv])))
+        assert submit - {"command", "kind"} == rows | SUBMIT_ONLY
 
     def test_record_round_trip(self):
         job = _job()
@@ -113,6 +231,19 @@ class TestJobSpec:
         job.exit_code = 0
         clone = JobRecord.from_dict(json.loads(json.dumps(job.to_dict())))
         assert clone.to_dict() == job.to_dict()
+
+    def test_journaled_run_with_retired_backend_replays(self, tmp_path):
+        """Runs journaled while ``run.backend`` existed hold "fast"."""
+        spec = JobSpec.create("run", {"uid": UID, "wcdl": 30})
+        job = JobRecord(id="j000001", spec=spec, key="k", client="a")
+        record = job.to_dict()
+        record["spec"]["backend"] = "fast"
+        journal = Journal(tmp_path)
+        journal.append({"ev": "submit", "job": record})
+        journal.close()
+        jobs = Journal(tmp_path).replay()
+        assert jobs["j000001"].spec == spec
+        assert jobs["j000001"].to_dict() == job.to_dict()
 
 
 class TestFairScheduler:

@@ -235,7 +235,7 @@ class TestLintCrashContainment:
             scheme="turnpike",
             sb=4,
             format="text",
-            no_differential=True,
+            differential=False,
             strict=False,
             max_per_rule=8,
             output=None,

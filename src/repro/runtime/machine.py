@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 import time
 import weakref
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 
 from repro.arch.clq import BaseCLQ, make_clq
@@ -113,7 +113,8 @@ class MachineSnapshot:
     ``t``); restoring and calling :meth:`ResilientMachine.run` continues
     with state bit-identical to a from-scratch run at the same point.
     ``mem_delta`` holds either the full cell dict (``mem_full``) or only
-    the cells changed since the previous snapshot of a golden recording.
+    the cells written since the previous snapshot of a golden recording,
+    at their values here (a written cell may hold its old value).
     """
 
     label: str
@@ -630,14 +631,15 @@ class ResilientMachine:
         pc: int,
         t: int,
         steps: int,
-        prev_cells: dict[int, int] | None = None,
+        written: Iterable[int] | None = None,
     ) -> MachineSnapshot:
         """Capture the machine at the bottom of the run loop.
 
         ``(label, pc, t, steps)`` is the loop position the caller's
-        ``_on_tick`` hook received. With ``prev_cells`` (the cell dict as
-        of the previous snapshot) only changed cells are stored; without
-        it the snapshot is self-contained.
+        ``_on_tick`` hook received. With ``written`` (the addresses
+        written since the previous snapshot of a golden recording) only
+        those cells are stored, at their current values; without it the
+        snapshot is self-contained.
         """
         unknown = set(vars(self)) - self._SNAPSHOT_FIELDS - self._SNAPSHOT_EXCLUDED
         if unknown:
@@ -648,17 +650,15 @@ class ResilientMachine:
                 "about them"
             )
         cells = self.mem.cells
-        if prev_cells is None:
+        if written is None:
             mem_delta = dict(cells)
             mem_full = True
         else:
-            # Key-exact delta: a cell holding 0 is distinct from an absent
-            # one here because MEMORY-injection targeting enumerates keys.
-            mem_delta = {
-                a: v
-                for a, v in cells.items()
-                if a not in prev_cells or prev_cells[a] != v
-            }
+            # Key-exact: a cell first written with 0 is a key here, distinct
+            # from an absent one, because MEMORY-injection targeting
+            # enumerates keys. Cells are never removed, so applying the
+            # deltas in order rebuilds the image key for key.
+            mem_delta = {a: cells[a] for a in written}
             mem_full = False
         return MachineSnapshot(
             label=label,
@@ -696,7 +696,10 @@ class ResilientMachine:
 
         Delta snapshots need ``cells``: the fully materialised cell dict
         at the snapshot point (base memory plus every delta up to and
-        including this snapshot's).
+        including this snapshot's). The machine takes ownership of that
+        dict and writes to it as it runs, so pass a fresh one such as
+        :meth:`GoldenRecord.cells_at` returns, never one shared with the
+        record, another machine or the caller.
         """
         if snap.mem_full:
             self.mem.cells = dict(snap.mem_delta)
@@ -705,7 +708,7 @@ class ResilientMachine:
                 raise SnapshotError(
                     "delta snapshot needs the materialised cell dict"
                 )
-            self.mem.cells = dict(cells)
+            self.mem.cells = cells
         self._mem_fp = snap.mem_fp
         self.regs.load_index_dict(snap.regs)
         self.sb.restore_state(snap.sb)

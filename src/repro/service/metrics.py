@@ -87,6 +87,7 @@ class ServiceMetrics:
             "workers": workers,
             "worker_restarts": self.counters["worker_restarts"],
             "stale_endpoint_replaced": self.counters["stale_endpoint_replaced"],
+            "replay_skipped": self.counters["replay_skipped"],
             "jobs": {
                 "submitted": submitted,
                 "accepted": self.counters["accepted"],

@@ -144,6 +144,31 @@ class TestForwardCompat:
         assert set(jobs) == {"j-1"}
         assert jobs["j-1"].state is JobState.QUEUED
 
+    def test_compaction_keeps_the_events_replay_skips(self, tmp_path):
+        """A newer generation's submit and a state event about no known
+        job survive compaction verbatim and in order; garbage and a torn
+        tail do not."""
+        journal = Journal(tmp_path)
+        journal.record_submit(make_record("j-1"))
+        journal.append(
+            {"ev": "submit", "v": SCHEMA_VERSION + 1, "job": {"id": "j-new"}}
+        )
+        journal.append({"ev": "state", "id": "ghost", "state": "done"})
+        journal.close()
+        with open(journal.log_path, "a", encoding="utf-8") as fh:
+            fh.write("not json at all\n")
+            fh.write('{"ev": "submit", "job": {"id": "j-2", "ki')  # no \n
+        kept = journal.log_path.read_text().splitlines()[1:3]
+
+        survivor = Journal(tmp_path)
+        jobs = survivor.replay()
+        assert set(jobs) == {"j-1"}
+        assert survivor.skipped == kept
+        survivor.compact(jobs)
+        lines = survivor.log_path.read_text().splitlines()
+        assert json.loads(lines[0])["job"]["id"] == "j-1"
+        assert lines[1:] == kept
+
     def test_current_version_is_stamped_on_append(self, tmp_path):
         journal = Journal(tmp_path)
         journal.record_submit(make_record("j-1"))

@@ -29,7 +29,9 @@ from repro.compiler.pipeline import CompiledProgram
 from repro.faults.snapshot import (
     ConvergedExit,
     GoldenRecord,
+    SkipAhead,
     prepare_accelerated_run,
+    resume_from_snapshot,
 )
 from repro.isa.registers import Reg
 from repro.runtime.interpreter import execute
@@ -292,7 +294,14 @@ def run_with_injection(
         prepare_accelerated_run(machine, accel, injection.time, memory)
     machine.arm_injection(injection)
     try:
-        stats = machine.run()
+        while True:
+            try:
+                stats = machine.run()
+                break
+            except SkipAhead as skip:
+                # Blocked on a cell golden loads again: continue from the
+                # golden snapshot before that load instead of stepping there.
+                resume_from_snapshot(machine, accel, skip, memory)
     except ConvergedExit as conv:
         # The injected run aligned with a golden tick and provably replays
         # the golden suffix from there: splice the terminal result. It

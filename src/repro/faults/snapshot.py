@@ -9,8 +9,7 @@ remaining clean suffix to completion. This module removes both replays:
 * :func:`record_golden_run` executes each (benchmark, variant) pair
   fault-free **once**, capturing periodic :class:`MachineSnapshot`\\ s,
   a per-tick register hash and effective-memory hash, and golden's
-  memory traffic: the last load of every address and every store
-  commit.
+  memory traffic: every load and every store commit.
 * :func:`prepare_accelerated_run` fast-forwards an injection run by
   restoring the nearest snapshot strictly before the injection tick
   (prefix removal) and installs a convergence checker.
@@ -18,7 +17,10 @@ remaining clean suffix to completion. This module removes both replays:
   register hash up in the golden stream. On an aligned tick whose
   memory difference golden never reads again it raises
   :class:`ConvergedExit`, and the injector splices the golden terminal
-  statistics (suffix removal).
+  statistics (suffix removal). On an aligned tick whose difference
+  golden does read again it may raise :class:`SkipAhead`, and
+  :func:`resume_from_snapshot` continues the run from a later golden
+  snapshot (stretch removal).
 
 Soundness
 ---------
@@ -87,6 +89,44 @@ between the snapshot and ``g``. The XOR of the differing cells' hash
 terms must equal the XOR of the two memory hashes; a disagreement
 raises :class:`SnapshotError` instead of guessing.
 
+When golden does load a cell of ``D`` after ``g``, let ``L`` be the
+first such load. If no cell is tainted, the run skips ahead to golden's
+latest snapshot ``T`` with ``g < T < L``:
+
+* **The run replays golden until ``L``.** The induction above holds up
+  to the first load of a cell of ``D``, so the run executes golden's
+  instructions, boundaries included, through tick ``T``.
+* **No recovery can follow.** Without a tainted cell no load ever
+  taints a register, so nothing trips parity, and the guard rules out
+  every other source (armed strike, pending detection, ECC syndrome,
+  latent colour-map parity error). A tainted cell would keep that door
+  open, so it rules the skip out.
+* **Golden's metadata at ``T`` serves the run.** Recovery metadata is
+  write-only without a recovery, so golden's bindings, colour maps,
+  checkpoint storage, CLQ, region buffer and quarantined checkpoints at
+  ``T`` are as good as the run's own. So are golden's dead registers,
+  which nothing reads before writing them.
+* **The effective image is golden's at ``T`` except for the cells of
+  ``D`` golden does not store to in ``(g, T]``.** Drain timing moves
+  values between the store buffer and the cells without changing that
+  image, so golden's cells and pending stores serve for every other
+  cell. Those cells keep the run's effective value at ``g``, written
+  back through ``_mem_write`` so the fingerprint and the written-cell
+  set follow. The written-back value lands in the cell, so
+  a regular entry for that address in golden's store buffer at ``T``
+  would hide it from loads and overwrite it when it drains. Such a
+  snapshot is not skipped to.
+* **Step counts.** From ``g`` to ``T`` the run takes golden's
+  ``snap.steps - tick_steps[g]`` loop steps, so it resumes with
+  ``steps + snap.steps - tick_steps[g]``, and a watchdog trip falls
+  where the unaccelerated run's would. The run keeps its own
+  :class:`MachineStats`: no recovery, detection or ECC event can happen
+  between ``g`` and ``T``, so only the counts of commits and regions
+  miss that stretch, and outcomes do not read them.
+
+The resumed run is checked afresh from ``T``, as if restored there for
+its strike. With no snapshots (``interval`` off) it never skips.
+
 A register hash shared by two golden ticks (a revisited register state
 with different memory, or a 64-bit collision) could splice the wrong
 suffix, so repeated hashes are dropped from the index. That is always
@@ -151,6 +191,26 @@ class ConvergedExit(Exception):
         self.steps = steps
         self.delta = delta
         self.escaped = escaped
+
+
+class SkipAhead(Exception):
+    """Raised out of ``ResilientMachine.run`` when an aligned run is held
+    back only by cells golden loads again, and a golden snapshot lies
+    between the match and the first of those loads.
+
+    The run would replay golden's instructions up to that snapshot, so
+    :func:`resume_from_snapshot` continues it from there instead. Not a
+    :class:`ConvergedExit`: the run is not over. ``index`` is the
+    snapshot's, ``steps`` the run's step count there, and ``write_back``
+    maps each differing cell golden does not store to before the
+    snapshot to the run's effective value of it.
+    """
+
+    def __init__(self, index: int, steps: int, write_back: dict[int, int]):
+        super().__init__(f"skip ahead to golden snapshot {index}")
+        self.index = index
+        self.steps = steps
+        self.write_back = write_back
 
 
 def _digest(packed: bytes) -> int:
@@ -347,6 +407,49 @@ class _StoreHistory:
         lo, hi = self._span(addr)
         return self.cell_ticks[hi - 1] if hi > lo else 0
 
+    def stores_between(self, addr: int, after: int, until: int) -> bool:
+        """Whether golden stores to ``addr`` at a tick in ``(after, until]``."""
+        lo, hi = self._span(addr)
+        ticks = self.cell_ticks
+        return bisect_right(ticks, after, lo, hi) < bisect_right(ticks, until, lo, hi)
+
+
+class _LoadHistory:
+    """Golden's loads as two columns sorted by ``(addr, tick)``.
+
+    The loads of one address are one ascending run of ticks, so the same
+    columns answer golden's last load of a cell and its next load after
+    a given tick.
+    """
+
+    __slots__ = ("addrs", "ticks")
+
+    def __init__(self, log: list[tuple[int, int]]):
+        """``log`` holds ``(addr, tick)`` pairs, in any order."""
+        log = sorted(log)
+        self.addrs = array("q", [a for a, _ in log])
+        self.ticks = array("I", [t for _, t in log])
+
+    def _span(self, addr: int) -> tuple[int, int]:
+        lo = bisect_left(self.addrs, addr)
+        return lo, bisect_right(self.addrs, addr, lo)
+
+    def ticks_of(self, addr: int) -> array:
+        """The ticks golden loads ``addr`` at, ascending."""
+        lo, hi = self._span(addr)
+        return self.ticks[lo:hi]
+
+    def last_tick(self, addr: int) -> int:
+        """Tick of golden's last load of ``addr`` (0 if it never loads it)."""
+        lo, hi = self._span(addr)
+        return self.ticks[hi - 1] if hi > lo else 0
+
+    def next_tick(self, addr: int, after: int) -> int | None:
+        """Tick of golden's first load of ``addr`` after tick ``after``."""
+        lo, hi = self._span(addr)
+        i = bisect_right(self.ticks, after, lo, hi)
+        return self.ticks[i] if i < hi else None
+
 
 def _canon_expr(expr) -> tuple:
     return (
@@ -423,7 +526,8 @@ def full_state_canonical(machine: ResilientMachine, t: int) -> tuple:
 
 
 class _ConvergenceChecker:
-    """``_on_tick`` hook: raises :class:`ConvergedExit` on a golden match.
+    """``_on_tick`` hook: raises :class:`ConvergedExit` on a golden match,
+    or :class:`SkipAhead` on a blocked one that can resume further on.
 
     Checks are gated on the machine carrying *no outstanding fault
     state*, then throttled with an exponential backoff (reset whenever a
@@ -434,7 +538,7 @@ class _ConvergenceChecker:
     MAX_GAP = 64
 
     __slots__ = ("_machine", "_record", "_engine", "_since", "_initial",
-                 "_restored_sb", "_blocker", "_gap", "_skip", "_recoveries")
+                 "_restored_sb", "_blocker", "_gap", "_wait", "_recoveries")
 
     def __init__(self, machine: ResilientMachine, record: GoldenRecord,
                  since: int, initial: dict[int, int]):
@@ -451,7 +555,7 @@ class _ConvergenceChecker:
         # The delta cell that golden loaded later at the last attempt.
         self._blocker: int | None = None
         self._gap = 1
-        self._skip = 0
+        self._wait = 0
         self._recoveries = machine.stats.recoveries
 
     def __call__(self, label: str, pc: int, t: int, steps: int) -> None:
@@ -462,7 +566,7 @@ class _ConvergenceChecker:
         if recoveries != self._recoveries:
             self._recoveries = recoveries
             self._gap = 1
-            self._skip = 0
+            self._wait = 0
         if (
             m._tainted_regs
             or m._detection_due is not None
@@ -474,56 +578,97 @@ class _ConvergenceChecker:
             # colour map counts until an access observes it, because that
             # access trips parity and forces a recovery.
             return
-        if self._skip:
-            self._skip -= 1
+        if self._wait:
+            self._wait -= 1
             return
         record = self._record
         g = record.align_index.get(self._engine.register_hash(label, pc))
         if g is not None:
-            delta = self._memory_delta(g)
+            delta = self._memory_delta(g, steps)
             if delta is not None:
                 raise ConvergedExit(g, record.tick_steps[g], steps, *delta)
-        self._skip = self._gap
+        self._wait = self._gap
         if self._gap < self.MAX_GAP:
             self._gap <<= 1
 
     def _memory_delta(
-        self, g: int
+        self, g: int, steps: int
     ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         """``(delta, escaped)`` at a register match with golden tick ``g``,
-        or None when golden loads a cell of the delta after ``g``."""
+        or None when golden loads a cell of the delta after ``g``.
+
+        Raises :class:`SkipAhead` instead of returning None when the run
+        can resume from a golden snapshot before that load.
+        """
         m = self._machine
         record = self._record
         tainted = m._tainted_cells
         drift = self._engine.memory_hash() ^ record.mem_hashes[g]
         if not drift and not tainted:
             return (), ()
-        last_load = record.last_load.get
+        loads = record.loads
         blocker = self._blocker
-        if blocker is not None and last_load(blocker, 0) > g:
+        if blocker is not None and loads.last_tick(blocker) > g:
             # Usually the run is still aligned and that cell still
-            # differs: cheaper to confirm than to rebuild the delta.
+            # differs: cheaper to confirm than to rebuild the delta, unless
+            # a snapshot before its next load could be resumed from.
             if blocker in tainted:
                 return None
             ours = m.sb.forward(blocker)
             if ours is None:
                 ours = m.mem.cells.get(blocker, 0)
             initial = self._initial.get(blocker, 0)
-            if ours != record.stores.value_at(blocker, g, initial):
+            if ours != record.stores.value_at(blocker, g, initial) and (
+                record.snapshot_index_between(
+                    g, loads.next_tick(blocker, g)
+                ) is None
+            ):
                 return None
-        differing = self._differing_cells(g, drift) if drift else []
+        differing = self._differing_cells(g, drift) if drift else {}
         delta = tainted.union(differing)
         for addr in delta:
-            if last_load(addr, 0) > g:
+            if loads.last_tick(addr) > g:
                 self._blocker = addr
+                if not tainted:
+                    self._skip_ahead(g, steps, differing)
                 return None
         last_store = record.stores.last_tick
         escaped = [addr for addr in differing if last_store(addr) <= g]
         return tuple(sorted(delta)), tuple(sorted(escaped))
 
-    def _differing_cells(self, g: int, drift: int) -> list[int]:
+    def _skip_ahead(self, g: int, steps: int, differing: dict[int, int]) -> None:
+        """Raise :class:`SkipAhead` to golden's latest snapshot before its
+        next load of a ``differing`` cell (the run's effective values at
+        golden tick ``g``), if there is one and no pending store of
+        golden's there would hide a cell written back."""
+        record = self._record
+        next_tick = record.loads.next_tick
+        until = min(
+            tick for tick in (next_tick(addr, g) for addr in differing)
+            if tick is not None
+        )
+        index = record.snapshot_index_between(g, until)
+        if index is None:
+            return
+        snap = record.snapshots[index]
+        stores_between = record.stores.stores_between
+        write_back = {
+            addr: ours for addr, ours in differing.items()
+            if not stores_between(addr, g, snap.t)
+        }
+        if any(
+            not is_checkpoint and addr in write_back
+            for _, is_checkpoint, addr, *_ in snap.sb
+        ):
+            return
+        raise SkipAhead(
+            index, steps + snap.steps - record.tick_steps[g], write_back
+        )
+
+    def _differing_cells(self, g: int, drift: int) -> dict[int, int]:
         """Cells whose effective value differs from golden's at tick ``g``,
-        checked against ``drift``, the XOR of the two memory hashes."""
+        mapped to the run's value and checked against ``drift``, the XOR
+        of the two memory hashes."""
         m = self._machine
         stores = self._record.stores
         pending: dict[int, int] = {}
@@ -537,12 +682,12 @@ class _ConvergenceChecker:
         )
         cells_get = m.mem.cells.get
         initial_get = self._initial.get
-        differing = []
+        differing = {}
         for addr in candidates:
             ours = pending[addr] if addr in pending else cells_get(addr, 0)
             theirs = stores.value_at(addr, g, initial_get(addr, 0))
             if ours != theirs:
-                differing.append(addr)
+                differing[addr] = ours
                 drift ^= _cell_hash(addr, ours) ^ _cell_hash(addr, theirs)
         if drift:
             raise SnapshotError(
@@ -560,9 +705,9 @@ class GoldenRecord:
     ``tick_steps`` and ``mem_hashes`` are indexed by golden tick (0 is
     the initial state): the loop-step count and the effective-memory
     hash there. ``align_index`` maps each unambiguous register hash to
-    its tick, ``last_load`` each address golden loads to the tick of its
-    last load, and ``stores`` holds every store commit. ``snapshots``
-    carry delta-encoded machine images at ``snap_times`` (ascending).
+    its tick, ``loads`` holds every load commit and ``stores`` every
+    store commit. ``snapshots`` carry delta-encoded machine images at
+    ``snap_times`` (ascending).
     """
 
     interval: int | None
@@ -572,7 +717,7 @@ class GoldenRecord:
     align_index: _SortedIntMap = field(repr=False)
     tick_steps: array = field(repr=False)
     mem_hashes: array = field(repr=False)
-    last_load: _SortedIntMap = field(repr=False)
+    loads: _LoadHistory = field(repr=False)
     stores: _StoreHistory = field(repr=False)
     snap_times: list[int] = field(repr=False)
     snapshots: list[MachineSnapshot] = field(repr=False)
@@ -586,6 +731,11 @@ class GoldenRecord:
         """
         i = bisect_left(self.snap_times, time) - 1
         return i if i >= 0 else None
+
+    def snapshot_index_between(self, after: int, until: int) -> int | None:
+        """Index of the latest snapshot at a tick in ``(after, until)``."""
+        i = self.snapshot_index_before(until)
+        return i if i is not None and self.snap_times[i] > after else None
 
     def cells_at(self, index: int, base_cells: dict[int, int]) -> dict[int, int]:
         """Memory cell dict at snapshot ``index``: the initial image plus
@@ -641,7 +791,8 @@ def record_golden_run(
     reg_append = reg_hashes.append
     mem_append = mem_hashes.append
     steps_append = tick_steps.append
-    last_load: dict[int, int] = {}
+    loads: list[tuple[int, int]] = []
+    loads_append = loads.append
     stores: list[tuple[int, int, int]] = []
     stores_append = stores.append
     snapshots: list[MachineSnapshot] = []
@@ -650,6 +801,14 @@ def record_golden_run(
     # written since the last snapshot are exactly the next delta's keys.
     written = machine._written_cells
     next_snap = interval if interval is not None else float("inf")
+    # The pending stores' term of the memory hash (memory_hash() ^ the
+    # cells' fingerprint), redone only when the store buffer changes. A
+    # push appends to its list and a drain replaces it; a fault-free run
+    # changes no entry in place, and fast release skips every address
+    # with a pending entry, so the cells under the entries stay put.
+    overlay = 0
+    entries = sb.entries
+    pending = len(entries)
 
     def access(op: tuple, t: int) -> None:
         """Log the load or store that commits at tick ``t``."""
@@ -658,14 +817,17 @@ def record_golden_run(
         if is_store:
             stores_append((t, addr, vals[value]))
         else:
-            last_load[addr] = t
+            loads_append((addr, t))
 
     def hook(label: str, pc: int, t: int, steps: int) -> None:
-        nonlocal next_snap
+        nonlocal next_snap, overlay, entries, pending
         digest, op = points[label][pc]
         reg_append(digest(vals))
-        # With the store buffer empty the effective image is the cells.
-        mem_append(memory_hash() if sb.entries else machine._mem_fp)
+        if sb.entries is not entries or len(entries) != pending:
+            entries = sb.entries
+            pending = len(entries)
+            overlay = memory_hash() ^ machine._mem_fp
+        mem_append(machine._mem_fp ^ overlay)
         steps_append(steps)
         if op is not None:
             access(op, t + 1)
@@ -714,7 +876,7 @@ def record_golden_run(
         align_index=_SortedIntMap(tick_of, "Q", "I"),
         tick_steps=tick_steps,
         mem_hashes=mem_hashes,
-        last_load=_SortedIntMap(last_load, "q", "I"),
+        loads=_LoadHistory(loads),
         stores=_StoreHistory(stores),
         snap_times=snap_times,
         snapshots=snapshots,
@@ -735,17 +897,55 @@ def prepare_accelerated_run(
     the image the golden run started from. The machine's cells are
     replaced either way, with a fresh copy of that image or with the
     restored snapshot's, so it can be built with no memory.
+
+    ``run`` may then raise :class:`ConvergedExit`, or :class:`SkipAhead`,
+    after which :func:`resume_from_snapshot` prepares the next ``run``.
     """
     index = record.snapshot_index_before(injection_time)
+    since = _install_golden(machine, record, index, base_memory)
+    machine._on_tick = _ConvergenceChecker(
+        machine, record, since, base_memory.cells
+    )
+
+
+def resume_from_snapshot(
+    machine: ResilientMachine,
+    record: GoldenRecord,
+    skip: SkipAhead,
+    base_memory: Memory,
+) -> None:
+    """Continue a run that raised ``skip`` from golden's snapshot: the
+    next ``run`` resumes there, under a fresh convergence checker.
+
+    The machine takes golden's state at the snapshot, but keeps its own
+    statistics, its cells of ``skip.write_back`` at its own values, and
+    its own step count (``skip.steps``).
+    """
+    stats = machine.stats
+    since = _install_golden(machine, record, skip.index, base_memory)
+    machine.stats = stats
+    for addr, value in skip.write_back.items():
+        machine._mem_write(addr, value)
+    label, pc, t, _ = machine._resume
+    machine._resume = (label, pc, t, skip.steps)
+    machine._on_tick = _ConvergenceChecker(
+        machine, record, since, base_memory.cells
+    )
+
+
+def _install_golden(
+    machine: ResilientMachine,
+    record: GoldenRecord,
+    index: int | None,
+    base_memory: Memory,
+) -> int:
+    """Give ``machine`` golden's state at snapshot ``index`` (golden tick
+    0 when None) with an image of its own; return that golden tick."""
     if index is None:
         # Still at golden tick 0, whose fingerprint the record holds.
         machine.mem.cells = dict(base_memory.cells)
         machine._mem_fp = record.mem_hashes[0]
-        since = 0
-    else:
-        snap = record.snapshots[index]
-        machine.restore(snap, cells=record.cells_at(index, base_memory.cells))
-        since = snap.t
-    machine._on_tick = _ConvergenceChecker(
-        machine, record, since, base_memory.cells
-    )
+        return 0
+    snap = record.snapshots[index]
+    machine.restore(snap, cells=record.cells_at(index, base_memory.cells))
+    return snap.t

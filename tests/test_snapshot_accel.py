@@ -11,8 +11,11 @@ machine exactly (full-state canonical equality, not merely observable
 equality), the timeout splice reproduces the watchdog's exact behaviour,
 the recorder's memory traffic matches the interpreter's, delta exits
 wait for every differing cell golden reads again and refuse a store
-history that disagrees with the memory hashes, and golden records
-round-trip through the persistent artifact cache. The register digest
+history that disagrees with the memory hashes, runs blocked by such a
+cell skip ahead to a later snapshot (never with a tainted cell or over
+a golden store that would hide a written-back one, and with exact step
+counts), and golden records round-trip through the persistent artifact
+cache. The register digest
 is checked against a naive tuple oracle and across processes, snapshot
 deltas against full-scan images, and restore against shared cells.
 """
@@ -33,6 +36,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
+import repro.faults.injector as injector_module
 import repro.faults.snapshot as snapshot_module
 from helpers import build_sum_loop
 from repro.analysis.cfg import build_cfg
@@ -51,6 +55,7 @@ from repro.faults.injector import (
 from repro.faults.snapshot import (
     ConvergedExit,
     GoldenRecord,
+    SkipAhead,
     full_state_canonical,
     _point_digest,
     prepare_accelerated_run,
@@ -62,6 +67,7 @@ from repro.isa.program import Program
 from repro.runtime import trace as tr
 from repro.runtime.interpreter import execute
 from repro.runtime.machine import (
+    Injection,
     InjectionTarget,
     ResilientMachine,
     SnapshotError,
@@ -74,14 +80,20 @@ ARRAY = 0x400
 TRIP = 16
 
 
-def build_rewrite(reread: bool = False) -> Program:
+def build_rewrite(
+    reread: bool = False, passes: int = 1, spin: int = 0
+) -> Program:
     """Loop ``fill`` stores i*i to a[i]; loop ``refill`` overwrites a[i]
     with i+7. With ``reread``, loop ``sum`` then loads every a[i] back
-    and stores the total just past the array.
+    and stores the total just past the array. ``passes`` repeats that
+    pass, storing pass p's total p words further on, and ``spin`` follows
+    each pass with a loop of that many iterations touching no memory.
 
     Under ``unsafe`` a bad recovery skips or repeats an iteration while
     the only loop-carried register realigns, so memory differs from
     golden's at an aligned tick: the shape delta convergence splices.
+    Each later pass loads a differing a[i] again: the shape a run skips
+    ahead from.
     """
     b = ProgramBuilder("rewrite")
     b.begin_block("entry")
@@ -103,14 +115,26 @@ def build_rewrite(reread: bool = False) -> Program:
     b.begin_block("after")
     if reread:
         total = b.li(0)
-        b.li(0, dest=i)
-        b.jmp("sum")
-        b.begin_block("sum")
-        b.add(total, b.load(b.add(base, b.shli(i, 2))), dest=total)
-        b.addi(i, 1, dest=i)
-        b.blt(i, limit, "sum", "done")
-        b.begin_block("done")
-        b.store(total, base, offset=4 * TRIP)
+        for p in range(passes):
+            tag = str(p) if p else ""
+            b.li(0, dest=i)
+            b.jmp(f"sum{tag}")
+            b.begin_block(f"sum{tag}")
+            b.add(total, b.load(b.add(base, b.shli(i, 2))), dest=total)
+            b.addi(i, 1, dest=i)
+            b.blt(i, limit, f"sum{tag}", f"done{tag}")
+            b.begin_block(f"done{tag}")
+            b.store(total, base, offset=4 * (TRIP + p))
+            if passes > 1 or spin:
+                b.li(0, dest=total)
+            if spin:
+                end = b.li(spin)
+                b.li(0, dest=i)
+                b.jmp(f"spin{p}")
+                b.begin_block(f"spin{p}")
+                b.addi(i, 1, dest=i)
+                b.blt(i, end, f"spin{p}", f"next{p}")
+                b.begin_block(f"next{p}")
     b.ret()
     return b.finish()
 
@@ -142,6 +166,25 @@ def build_same_value_writes(trip: int) -> Program:
     return b.finish()
 
 
+def build_counter(trip: int) -> Program:
+    """Each iteration loads the cell at :data:`ARRAY`, adds one and stores
+    it back. The region read the cell first, so the CLQ quarantines the
+    store, and the next iteration loads the cell while it is pending."""
+    b = ProgramBuilder("counter")
+    b.begin_block("entry")
+    i = b.li(0)
+    limit = b.li(trip)
+    base = b.li(ARRAY)
+    b.jmp("loop")
+    b.begin_block("loop")
+    b.store(b.addi(b.load(base), 1), base)
+    b.addi(i, 1, dest=i)
+    b.blt(i, limit, "loop", "done")
+    b.begin_block("done")
+    b.ret()
+    return b.finish()
+
+
 def _context(program: Program):
     compiled = compile_program(program, turnpike_config())
     memory = Memory()
@@ -162,6 +205,17 @@ def rewrite_ctx():
     return _context(build_rewrite())
 
 
+PASSES = 3
+SPIN = 40
+
+
+@pytest.fixture(scope="module")
+def reread_ctx():
+    """The fill/refill program with :data:`PASSES` sum passes, whose runs
+    skip ahead past the spin loops between them."""
+    return _context(build_rewrite(reread=True, passes=PASSES, spin=SPIN))
+
+
 @pytest.fixture
 def exits(monkeypatch):
     """Every ConvergedExit a machine run raises during the test."""
@@ -177,6 +231,53 @@ def exits(monkeypatch):
 
     monkeypatch.setattr(ResilientMachine, "run", recording_run)
     return seen
+
+
+@pytest.fixture
+def skips(monkeypatch):
+    """Every SkipAhead an injected run resumes from during the test, with
+    the machine that raised it."""
+    seen: list[tuple[ResilientMachine, SkipAhead]] = []
+    resume = injector_module.resume_from_snapshot
+
+    def recording_resume(machine, record, skip, base_memory):
+        seen.append((machine, skip))
+        return resume(machine, record, skip, base_memory)
+
+    monkeypatch.setattr(
+        injector_module, "resume_from_snapshot", recording_resume
+    )
+    return seen
+
+
+@pytest.fixture
+def silent_strikes(monkeypatch):
+    """MEMORY injections pinned to an ``addr`` flip that word's effective
+    value (its youngest pending store, else the cell) and leave no trace:
+    no ECC syndrome, no detection, no recovery. That is the lasting damage
+    a bad ``unsafe`` recovery leaves. The strike also marks the addresses
+    added to the returned set tainted."""
+    tainted: set[int] = set()
+    maybe_inject = ResilientMachine._maybe_inject
+
+    def silent(self, t):
+        inj = self.injection
+        if inj is None or t != inj.time or inj.addr is None:
+            return maybe_inject(self, t)
+        self.injection = None
+        mask = 1 << inj.bit
+        pending = [
+            e for e in self.sb.entries
+            if not e.is_checkpoint and e.addr == inj.addr
+        ]
+        if pending:
+            pending[-1].value ^= mask
+        else:
+            self._mem_write(inj.addr, self.mem.load(inj.addr) ^ mask)
+        self._tainted_cells |= tainted
+
+    monkeypatch.setattr(ResilientMachine, "_maybe_inject", silent)
+    return tainted
 
 
 def _turnpike(wcdl: int = 10):
@@ -211,7 +312,7 @@ class TestGoldenRecord:
         trace = execute(
             compiled.program, memory.copy(), collect_trace=True
         ).trace
-        last_load: dict[int, int] = {}
+        loads: dict[int, list[int]] = {}
         stores: list[tuple[int, int]] = []
         tick = 0
         for entry in trace:
@@ -219,13 +320,16 @@ class TestGoldenRecord:
                 continue
             tick += 1
             if entry[0] == tr.K_LD:
-                last_load[entry[4]] = tick
+                loads.setdefault(entry[4], []).append(tick)
             elif entry[0] == tr.K_ST:
                 stores.append((tick, entry[4]))
-        assert len(last_load) >= (TRIP if reread else 0)
-        assert len(rec.last_load) == len(last_load)
-        for addr, tick in last_load.items():
-            assert rec.last_load.get(addr) == tick
+        assert len(loads) >= (TRIP if reread else 0)
+        assert sorted(set(rec.loads.addrs)) == sorted(loads)
+        for addr, ticks in loads.items():
+            assert list(rec.loads.ticks_of(addr)) == ticks
+            assert rec.loads.last_tick(addr) == ticks[-1]
+            assert rec.loads.next_tick(addr, 0) == ticks[0]
+            assert rec.loads.next_tick(addr, ticks[-1]) is None
         assert list(zip(rec.stores.ticks, rec.stores.addrs)) == stores
 
     def test_store_history_matches_memory_hashes(self, rewrite_ctx):
@@ -691,7 +795,7 @@ class TestDeltaConvergence:
         cell = ARRAY + 4 * 3
         exc, rec = self._corrupted_run(build_rewrite(reread=True), cell, 12345)
         first_store = self._store_ticks(rec, cell)[0]
-        assert rec.last_load.get(cell) > first_store
+        assert rec.loads.last_tick(cell) > first_store
         # Aligned from tick 1 on, but golden reads the cell back later.
         assert exc.golden_tick >= first_store
         assert exc.delta == () and exc.escaped == ()
@@ -699,7 +803,7 @@ class TestDeltaConvergence:
     def test_restored_cell_splices_although_memory_differs(self):
         cell = ARRAY + 4 * 3
         exc, rec = self._corrupted_run(build_rewrite(), cell, 12345)
-        assert rec.last_load.get(cell) is None
+        assert rec.loads.last_tick(cell) == 0  # golden never loads it
         assert exc.golden_tick < self._store_ticks(rec, cell)[0]
         assert exc.delta == (cell,)
         assert exc.escaped == ()  # golden stores to it again
@@ -774,12 +878,195 @@ class TestDeltaConvergence:
         assert bad.error.startswith("SnapshotError: memory delta")
 
 
+class TestSkipAhead:
+    """Resuming a blocked run from golden's snapshot before its next load
+    of a differing cell, instead of stepping there."""
+
+    CELL = ARRAY + 4 * 3
+
+    @classmethod
+    def _strike_before_first_pass(cls, rec: GoldenRecord) -> Injection:
+        """A silent flip of :attr:`CELL` just before golden's first load of
+        it, after the last store to it; each later pass loads it again
+        after a spin loop of snapshots."""
+        loads = rec.loads.ticks_of(cls.CELL)
+        assert len(loads) == PASSES
+        assert rec.stores.last_tick(cls.CELL) < loads[0]
+        assert all(
+            rec.snapshot_index_between(a, b) is not None
+            for a, b in zip(loads, loads[1:])
+        )
+        return Injection(
+            time=loads[0] - 1, target=InjectionTarget.MEMORY,
+            addr=cls.CELL, bit=4,
+        )
+
+    @pytest.mark.parametrize("variant", sorted(VARIANT_CONFIGS))
+    def test_blocked_run_resumes_from_a_later_snapshot(
+        self, reread_ctx, variant, silent_strikes, skips, exits
+    ):
+        """The corrupted cell blocks every exit until golden's last pass:
+        the run skips each spin loop, commits fewer ticks than the golden
+        stretch it covers (and than the unaccelerated run), and finishes
+        with exactly the cells the unaccelerated run ends with wrong."""
+        compiled, memory, golden, _ = reread_ctx
+        config = VARIANT_CONFIGS[variant](10)
+        rec = record_golden_run(
+            compiled, config, memory, interval=16, golden_image=golden
+        )
+        injection = self._strike_before_first_pass(rec)
+        ref = run_with_injection(compiled, config, memory, injection, golden)
+        acc = run_with_injection(
+            compiled, config, memory, injection, golden, accel=rec
+        )
+        assert outcome_to_dict(acc) == outcome_to_dict(ref)
+        assert acc.kind is FaultOutcomeKind.SDC
+        assert len(skips) >= PASSES - 1
+        machine = skips[0][0]
+        assert all(m is machine for m, _ in skips)
+        (exc,) = exits
+        # A run without a recovery commits one tick per golden tick, so
+        # it would commit exactly golden_tick ticks without skipping.
+        assert machine.stats.committed < exc.golden_tick
+        reference = ResilientMachine(compiled, config, memory.copy())
+        reference.arm_injection(injection)
+        reference.run()
+        assert machine.stats.committed < reference.stats.committed
+        image = reference.mem.data_image()
+        wrong = {a for a in image.keys() | golden.keys()
+                 if image.get(a, 0) != golden.get(a, 0)}
+        assert set(exc.escaped) == wrong
+        assert self.CELL in wrong
+
+    def test_no_skip_with_a_tainted_cell(
+        self, reread_ctx, silent_strikes, skips, exits
+    ):
+        """The same blocked run, with a tainted cell besides: a tainted
+        load can still trip parity, and recovery would read golden's
+        metadata. The run steps."""
+        compiled, memory, golden, _ = reread_ctx
+        config = VARIANT_CONFIGS["unsafe"](10)
+        rec = record_golden_run(
+            compiled, config, memory, interval=16, golden_image=golden
+        )
+        injection = self._strike_before_first_pass(rec)
+        unread = ARRAY + 4 * (TRIP + PASSES)
+        silent_strikes.add(unread)
+        ref = run_with_injection(compiled, config, memory, injection, golden)
+        acc = run_with_injection(
+            compiled, config, memory, injection, golden, accel=rec
+        )
+        assert outcome_to_dict(acc) == outcome_to_dict(ref)
+        assert skips == []
+        (exc,) = exits
+        assert {self.CELL, unread} <= set(exc.delta)
+
+    def test_no_skip_over_a_pending_golden_store(self, silent_strikes, skips):
+        """Golden's store buffer at every snapshot of the counter loop
+        holds a store to the counter, which would hide the run's differing
+        value written back under it: the run steps."""
+        compiled, memory, golden, _ = _context(build_counter(24))
+        config = _turnpike()
+        rec = record_golden_run(
+            compiled, config, memory, interval=1, golden_image=golden
+        )
+        loads = rec.loads.ticks_of(ARRAY)
+        injection = Injection(
+            time=loads[len(loads) // 2] - 1, target=InjectionTarget.MEMORY,
+            addr=ARRAY, bit=4,
+        )
+        ref = run_with_injection(compiled, config, memory, injection, golden)
+        acc = run_with_injection(
+            compiled, config, memory, injection, golden, accel=rec
+        )
+        assert outcome_to_dict(acc) == outcome_to_dict(ref)
+        assert acc.kind is FaultOutcomeKind.SDC
+        assert skips == []
+
+    def test_no_skip_without_snapshots(
+        self, reread_ctx, silent_strikes, skips
+    ):
+        compiled, memory, golden, _ = reread_ctx
+        config = _turnpike()
+        rec = record_golden_run(
+            compiled, config, memory, interval=16, golden_image=golden
+        )
+        injection = self._strike_before_first_pass(rec)
+        bare = record_golden_run(
+            compiled, config, memory, interval=0, golden_image=golden
+        )
+        ref = run_with_injection(compiled, config, memory, injection, golden)
+        acc = run_with_injection(
+            compiled, config, memory, injection, golden, accel=bare
+        )
+        assert outcome_to_dict(acc) == outcome_to_dict(ref)
+        assert skips == []
+
+    @staticmethod
+    def _steps_to_finish(compiled, config, memory, injection, golden) -> int:
+        """The from-scratch run's exact step count: the smallest watchdog
+        budget it finishes under."""
+        lo, hi = 1, 4_000_000
+        while lo < hi:
+            mid = (lo + hi) // 2
+            outcome = run_with_injection(
+                compiled, config, memory, injection, golden, max_steps=mid
+            )
+            if outcome.kind is FaultOutcomeKind.TIMEOUT:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    def test_step_count_across_skips_is_exact(self, reread_ctx, skips):
+        """A run that recovered before it skipped is steps ahead of golden,
+        and carries that lead past the snapshot. Budgets at the
+        from-scratch total, one below it, and one below the run's count at
+        its first skip's snapshot: each classifies like the watchdog."""
+        compiled, memory, golden, horizon = reread_ctx
+        config = _turnpike()
+        rec = record_golden_run(
+            compiled, config, memory, interval=16, golden_image=golden
+        )
+        checked = 0
+        for index in range(35):
+            injection = injection_for_index(
+                compiled, 10, 1234, index, horizon, DEFAULT_TARGET_MIX
+            )
+            skips.clear()
+            acc = run_with_injection(
+                compiled, config, memory, injection, golden, accel=rec
+            )
+            if not skips or not acc.recovered:
+                continue
+            total = self._steps_to_finish(
+                compiled, config, memory, injection, golden
+            )
+            assert total > rec.total_steps
+            for budget in (total, total - 1, skips[0][1].steps - 1):
+                ref = run_with_injection(
+                    compiled, config, memory, injection, golden,
+                    max_steps=budget,
+                )
+                acc = run_with_injection(
+                    compiled, config, memory, injection, golden,
+                    max_steps=budget, accel=rec,
+                )
+                assert outcome_to_dict(acc) == outcome_to_dict(ref)
+            checked += 1
+        assert checked
+
+
 class TestParity:
     """The headline guarantee, exhaustively: accelerated == from-scratch."""
 
     @pytest.mark.parametrize("variant", sorted(VARIANT_CONFIGS))
-    def test_all_targets_all_variants(self, ctx, rewrite_ctx, variant, exits):
-        for compiled, memory, golden, horizon in (ctx, rewrite_ctx):
+    def test_all_targets_all_variants(
+        self, ctx, rewrite_ctx, reread_ctx, variant, exits, skips
+    ):
+        for compiled, memory, golden, horizon in (
+            ctx, rewrite_ctx, reread_ctx
+        ):
             config = VARIANT_CONFIGS[variant](10)
             rec = record_golden_run(
                 compiled, config, memory, interval=16, golden_image=golden
@@ -801,9 +1088,11 @@ class TestParity:
                 )
         if variant == "unsafe":
             # Not vacuous: some splices happened while memory differed,
-            # and some of those finished as silent corruptions.
+            # and some of those finished as silent corruptions; some runs
+            # resumed from a later snapshot on the way.
             assert any(exc.delta for exc in exits)
             assert any(exc.escaped for exc in exits)
+            assert skips
         else:
             assert not any(exc.escaped for exc in exits)
 
@@ -852,14 +1141,20 @@ class TestParity:
     @given(
         variant=st.sampled_from(sorted(VARIANT_CONFIGS)),
         reread=st.booleans(),
+        passes=st.sampled_from([1, PASSES]),
         interval=st.sampled_from([1, 7, 0]),
         index=st.integers(min_value=0, max_value=400),
         wcdl=st.sampled_from([4, 10]),
     )
-    def test_random_delta_programs(self, variant, reread, interval, index, wcdl):
+    def test_random_delta_programs(
+        self, variant, reread, passes, interval, index, wcdl
+    ):
         """The same sweep over the fill/refill(/sum) programs, where
-        ``unsafe`` and tainted-cell runs take delta exits."""
-        compiled, memory, golden, horizon = _context(build_rewrite(reread))
+        ``unsafe`` and tainted-cell runs take delta exits, and runs
+        blocked by a later pass skip ahead."""
+        compiled, memory, golden, horizon = _context(
+            build_rewrite(reread, passes, SPIN if passes > 1 else 0)
+        )
         config = VARIANT_CONFIGS[variant](wcdl)
         rec = record_golden_run(
             compiled, config, memory, interval=interval, golden_image=golden
@@ -891,7 +1186,8 @@ class TestArtifactCache:
         assert loaded.align_index.values == rec.align_index.values
         assert loaded.tick_steps == rec.tick_steps
         assert loaded.mem_hashes == rec.mem_hashes
-        assert loaded.last_load.keys == rec.last_load.keys
+        assert loaded.loads.addrs == rec.loads.addrs
+        assert loaded.loads.ticks == rec.loads.ticks
         assert loaded.stores.cell_values == rec.stores.cell_values
         assert loaded.snap_times == rec.snap_times
         assert loaded.total_steps == rec.total_steps

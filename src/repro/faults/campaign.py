@@ -56,9 +56,14 @@ from repro.runtime.memory import Memory
 def _horizon(compiled: CompiledProgram, memory: Memory) -> int:
     """Commit-tick span of a fault-free run (injection times sample this)."""
     result = execute(compiled.program, memory.copy(), collect_trace=True)
-    assert result.trace is not None
-    boundaries = sum(1 for e in result.trace if e[0] == 7)
-    return max(2, len(result.trace) - boundaries - 1)
+    return _trace_horizon(result.trace)
+
+
+def _trace_horizon(trace: list[tuple] | None) -> int:
+    """:func:`_horizon` of an interpreter trace."""
+    assert trace is not None
+    boundaries = sum(1 for e in trace if e[0] == 7)
+    return max(2, len(trace) - boundaries - 1)
 
 
 @dataclass
@@ -280,7 +285,7 @@ class AccelOptions:
 _WORKER_CACHE: dict[str, tuple] = {}
 
 # Per-worker-process golden-record cache, keyed by
-# (uid, variant, wcdl, snapshot_interval, max_steps).
+# (uid, variant, wcdl, snapshot_interval, max_steps, ecc).
 _GOLDEN_CACHE: dict[tuple, GoldenRecord] = {}
 
 
@@ -289,15 +294,15 @@ def _campaign_context(uid: str):
     if cached is None:
         from repro.compiler.config import turnpike_config
         from repro.compiler.pipeline import compile_program
-        from repro.faults.injector import golden_memory
         from repro.workloads.suites import load_workload
 
         workload = load_workload(uid)
         compiled = compile_program(workload.program, turnpike_config())
         memory = workload.fresh_memory()
-        golden = golden_memory(compiled, memory)
-        horizon = _horizon(compiled, memory)
-        cached = (compiled, memory, golden, horizon)
+        # One reference run yields both the golden image and the horizon.
+        result = execute(compiled.program, memory.copy(), collect_trace=True)
+        golden = result.memory.data_image()
+        cached = (compiled, memory, golden, _trace_horizon(result.trace))
         _WORKER_CACHE[uid] = cached
     return cached
 
@@ -311,7 +316,9 @@ def _golden_record(
     cache (keyed by source digest + resilience config + interval + step
     budget, see :meth:`ArtifactCache.golden_key`), then a fresh
     fault-free run — stored back to disk so every later worker, resume,
-    or re-invocation starts warm.
+    or re-invocation starts warm. The per-tick stream does not depend on
+    the config, so a fresh run reuses that of any memoised record of the
+    same uid and step budget, and only takes its own snapshots.
 
     Returns None when the campaign's step budget is too small for even
     the fault-free run to finish: acceleration silently degrades to the
@@ -341,6 +348,15 @@ def _golden_record(
     ):
         record = None  # stale/foreign artifact: rebuild
     if record is None:
+        stream = next(
+            (
+                rec
+                for (uid, _, _, _, max_steps, _), rec in _GOLDEN_CACHE.items()
+                if rec is not None
+                and (uid, max_steps) == (spec.uid, spec.max_steps)
+            ),
+            None,
+        )
         try:
             record = record_golden_run(
                 compiled,
@@ -349,6 +365,7 @@ def _golden_record(
                 interval=interval,
                 max_steps=spec.max_steps,
                 golden_image=golden,
+                stream=stream,
             )
         except WatchdogTimeout:
             record = None

@@ -6,10 +6,12 @@ replays ``T`` clean ticks to reach the strike, applies a one-tick
 perturbation, recovers within a few WCDL windows, and then replays the
 remaining clean suffix to completion. This module removes both replays:
 
-* :func:`record_golden_run` executes each (benchmark, variant) pair
-  fault-free **once**, capturing periodic :class:`MachineSnapshot`\\ s,
-  a per-tick register hash and effective-memory hash, and golden's
-  memory traffic: every load and every store commit.
+* :func:`record_golden_run` records each benchmark's fault-free
+  per-tick stream **once**: a register hash and an effective-memory
+  hash per tick, and golden's memory traffic, every load and every
+  store commit. Every (benchmark, variant) pair shares that stream and
+  runs fault-free once more only to capture its own periodic
+  :class:`MachineSnapshot`\\ s, checked against the stream at each.
 * :func:`prepare_accelerated_run` fast-forwards an injection run by
   restoring the nearest snapshot strictly before the injection tick
   (prefix removal) and installs a convergence checker.
@@ -127,6 +129,32 @@ latest snapshot ``T`` with ``g < T < L``:
 The resumed run is checked afresh from ``T``, as if restored there for
 its strike. With no snapshots (``interval`` off) it never skips.
 
+A fault-free run commits the same per-tick stream under every
+:class:`ResilienceConfig`, so the variants of a campaign share one:
+
+* **The configs change no instruction.** They differ in when stores
+  drain (CLQ fast release or quarantine until verification), where
+  checkpoints are kept (colour maps or quarantine), how long
+  verification waits (WCDL) and how the protected arrays are encoded
+  (ECC). Without a strike nothing detects or recovers.
+* **Loads see the same values.** A load returns the effective value,
+  the youngest pending store or else the cell, and drain timing does
+  not change it. So every register value, branch, address and stored
+  value is the same at every tick, and so are the effective image and
+  its hash.
+* **Step counts agree.** Each loop step commits a tick or executes a
+  boundary, and the boundaries are the program's.
+
+The stream is therefore a function of the compiled program, its initial
+memory and the step budget, and :func:`record_golden_run` given one
+only takes the snapshots. It still checks the run against it: at each
+snapshot the step count, the effective-memory hash and the register
+digest at that tick (exactly, from the per-tick array: the align index
+drops repeated digests), and at the end the tick and step totals and
+the final image's hash. Any difference raises :class:`SnapshotError`,
+so a config under which a fault-free run commits another stream fails
+loudly instead of splicing a wrong suffix.
+
 A register hash shared by two golden ticks (a revisited register state
 with different memory, or a 64-bit collision) could splice the wrong
 suffix, so repeated hashes are dropped from the index. That is always
@@ -140,8 +168,9 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from hashlib import blake2b
+from itertools import islice
 from operator import itemgetter
 from struct import Struct
 
@@ -160,7 +189,7 @@ from repro.runtime.machine import (
 )
 from repro.runtime.memory import Memory
 
-DEFAULT_SNAPSHOT_INTERVAL = 256
+DEFAULT_SNAPSHOT_INTERVAL = 128
 
 
 class ConvergedExit(Exception):
@@ -560,8 +589,6 @@ class _ConvergenceChecker:
 
     def __call__(self, label: str, pc: int, t: int, steps: int) -> None:
         m = self._machine
-        if m.injection is not None:
-            return  # strike not applied yet — nothing to converge from
         recoveries = m.stats.recoveries
         if recoveries != self._recoveries:
             self._recoveries = recoveries
@@ -702,12 +729,16 @@ class _ConvergenceChecker:
 class GoldenRecord:
     """One fault-free run's acceleration artefacts.
 
-    ``tick_steps`` and ``mem_hashes`` are indexed by golden tick (0 is
-    the initial state): the loop-step count and the effective-memory
-    hash there. ``align_index`` maps each unambiguous register hash to
-    its tick, ``loads`` holds every load commit and ``stores`` every
-    store commit. ``snapshots`` carry delta-encoded machine images at
-    ``snap_times`` (ascending).
+    The per-tick stream is the same under every config (see the module
+    docstring), and the records of one program and step budget may share
+    its objects. ``reg_hashes``, ``tick_steps`` and ``mem_hashes`` are
+    indexed by golden tick (0 is the initial state): the register hash,
+    the loop-step count and the effective-memory hash there.
+    ``align_index`` maps each unambiguous register hash to its tick,
+    ``loads`` holds every load commit and ``stores`` every store commit.
+    The snapshots are the record's own: ``snapshots`` carry
+    delta-encoded machine images at ``snap_times`` (ascending), taken
+    every ``interval`` ticks.
     """
 
     interval: int | None
@@ -715,6 +746,7 @@ class GoldenRecord:
     total_ticks: int
     total_steps: int
     align_index: _SortedIntMap = field(repr=False)
+    reg_hashes: array = field(repr=False)
     tick_steps: array = field(repr=False)
     mem_hashes: array = field(repr=False)
     loads: _LoadHistory = field(repr=False)
@@ -751,6 +783,33 @@ class GoldenRecord:
         return cells
 
 
+class _SnapshotGrid:
+    """The periodic snapshots of one golden run, every ``interval`` ticks
+    (none when ``interval`` is None); the hook takes one once ``t``
+    reaches ``due``."""
+
+    __slots__ = ("machine", "interval", "due", "times", "snapshots")
+
+    def __init__(self, machine: ResilientMachine, interval: int | None):
+        self.machine = machine
+        self.interval = interval
+        self.due: float = interval if interval is not None else float("inf")
+        self.times: list[int] = []
+        self.snapshots: list[MachineSnapshot] = []
+
+    def take(self, label: str, pc: int, t: int, steps: int) -> None:
+        # The recorder owns its machine and never restores it, so the
+        # cells written since the last snapshot are exactly the next
+        # delta's keys.
+        written = self.machine._written_cells
+        self.snapshots.append(
+            self.machine.snapshot(label, pc, t, steps, written=written)
+        )
+        self.times.append(t)
+        written.clear()
+        self.due = t + self.interval
+
+
 def record_golden_run(
     compiled: CompiledProgram,
     config: ResilienceConfig,
@@ -759,33 +818,72 @@ def record_golden_run(
     interval: int | None = DEFAULT_SNAPSHOT_INTERVAL,
     max_steps: int = 4_000_000,
     golden_image: dict[int, int] | None = None,
+    stream: GoldenRecord | None = None,
 ) -> GoldenRecord:
     """Execute one fault-free run and capture its acceleration record.
 
     ``interval`` spaces the periodic snapshots in ticks (``None`` or
-    ``<= 0`` records hashes only — fast-forward disabled, the
-    degenerate configuration the parity suite exercises).  When
-    ``golden_image`` (the interpreter reference) is given, the run's
-    final data image is checked against it: splicing is only sound if
-    the golden suffix itself terminates correctly.
+    ``<= 0`` takes none: fast-forward disabled, the degenerate
+    configuration the parity suite exercises). When ``golden_image``
+    (the interpreter reference) is given, the run's final data image is
+    checked against it: splicing is only sound if the golden suffix
+    itself terminates correctly.
+
+    ``stream`` is a record of the same compiled program, memory and
+    ``max_steps``, under any config. A fault-free run commits the same
+    per-tick stream under every config (see the module docstring), so
+    the run then only takes its snapshots, and the returned record holds
+    the stream's own per-tick objects. At each snapshot the run's step
+    count, effective-memory hash and register digest must equal the
+    stream's at that tick, and at the end its tick and step totals and
+    its final image's hash must; any difference raises
+    :class:`SnapshotError`.
     """
     if interval is not None and interval <= 0:
         interval = None
+    if stream is not None and stream.max_steps != max_steps:
+        raise SnapshotError(
+            f"golden stream was recorded with max_steps={stream.max_steps}, "
+            f"not {max_steps}"
+        )
     machine = ResilientMachine(compiled, config, memory.copy(),
                                max_steps=max_steps)
     machine._mem_fp = memory_fingerprint(machine.mem.cells)
+    grid = _SnapshotGrid(machine, interval)
+    if stream is None:
+        stream = _record_stream(machine, grid)
+    else:
+        _follow_stream(machine, stream, grid)
+    if golden_image is not None and machine.mem.data_image() != golden_image:
+        raise SnapshotError(
+            "fault-free resilient run diverged from the interpreter "
+            "reference image; refusing to build an acceleration record"
+        )
+    return replace(
+        stream, interval=interval, snap_times=grid.times,
+        snapshots=grid.snapshots,
+    )
+
+
+def _record_stream(
+    machine: ResilientMachine, grid: _SnapshotGrid
+) -> GoldenRecord:
+    """Run the fault-free ``machine`` to its end, taking ``grid``'s
+    snapshots; return its per-tick stream as a record without any."""
+    program = machine.program
     engine = _FingerprintEngine(machine)
     memory_hash = engine.memory_hash
     sb = machine.sb
     vals = machine.regs.vals
-    ops = _memory_ops(compiled.program)
+    ops = _memory_ops(program)
     # Per block position: the register digest and the memory access of
     # the next instruction, fetched with one lookup per tick.
     points = {
         label: list(zip(row, ops[label]))
         for label, row in engine.digests.items()
     }
-    reg_hashes = array("Q")
+    entry = program.entry.label
+    reg_hashes = array("Q", [engine.register_hash(entry, 0)])
     tick_steps = array("I", [0])
     mem_hashes = array("Q", [machine._mem_fp])
     reg_append = reg_hashes.append
@@ -795,12 +893,6 @@ def record_golden_run(
     loads_append = loads.append
     stores: list[tuple[int, int, int]] = []
     stores_append = stores.append
-    snapshots: list[MachineSnapshot] = []
-    snap_times: list[int] = []
-    # The recorder owns its machine and never restores it, so the cells
-    # written since the last snapshot are exactly the next delta's keys.
-    written = machine._written_cells
-    next_snap = interval if interval is not None else float("inf")
     # The pending stores' term of the memory hash (memory_hash() ^ the
     # cells' fingerprint), redone only when the store buffer changes. A
     # push appends to its list and a drain replaces it; a fault-free run
@@ -820,7 +912,7 @@ def record_golden_run(
             loads_append((addr, t))
 
     def hook(label: str, pc: int, t: int, steps: int) -> None:
-        nonlocal next_snap, overlay, entries, pending
+        nonlocal overlay, entries, pending
         digest, op = points[label][pc]
         reg_append(digest(vals))
         if sb.entries is not entries or len(entries) != pending:
@@ -831,28 +923,18 @@ def record_golden_run(
         steps_append(steps)
         if op is not None:
             access(op, t + 1)
-        if t >= next_snap:
-            snapshots.append(
-                machine.snapshot(label, pc, t, steps, written=written)
-            )
-            snap_times.append(t)
-            written.clear()
-            next_snap = t + interval
+        if t >= grid.due:
+            grid.take(label, pc, t, steps)
 
-    op = ops[compiled.program.entry.label][0]
+    op = ops[entry][0]
     if op is not None:
         access(op, 1)
     machine._on_tick = hook
     stats = machine.run()
     machine._on_tick = None
-    if golden_image is not None and machine.mem.data_image() != golden_image:
-        raise SnapshotError(
-            "fault-free resilient run diverged from the interpreter "
-            "reference image; refusing to build an acceleration record"
-        )
     # The hook runs once per committed tick except the final RET's, so
     # tick t's entries sit at index t of the per-tick arrays.
-    total_ticks = len(reg_hashes)
+    total_ticks = len(reg_hashes) - 1
     if total_ticks != stats.committed - 1:
         raise SnapshotError(
             f"golden run committed {stats.committed} ticks but the tick "
@@ -863,24 +945,72 @@ def record_golden_run(
     # run never recovers — so the exact step total is:
     total_steps = stats.committed + stats.regions
     # Keep only register hashes that occur at exactly one tick.
-    tick_of = dict(zip(reg_hashes, range(1, total_ticks + 1)))
+    tick_of = dict(zip(islice(reg_hashes, 1, None), range(1, total_ticks + 1)))
     if len(tick_of) < total_ticks:
-        for digest, count in Counter(reg_hashes).items():
+        for digest, count in Counter(islice(reg_hashes, 1, None)).items():
             if count > 1:
                 del tick_of[digest]
     return GoldenRecord(
-        interval=interval,
-        max_steps=max_steps,
+        interval=None,
+        max_steps=machine.max_steps,
         total_ticks=total_ticks,
         total_steps=total_steps,
         align_index=_SortedIntMap(tick_of, "Q", "I"),
+        reg_hashes=reg_hashes,
         tick_steps=tick_steps,
         mem_hashes=mem_hashes,
         loads=_LoadHistory(loads),
         stores=_StoreHistory(stores),
-        snap_times=snap_times,
-        snapshots=snapshots,
+        snap_times=[],
+        snapshots=[],
     )
+
+
+def _follow_stream(
+    machine: ResilientMachine, stream: GoldenRecord, grid: _SnapshotGrid
+) -> None:
+    """Run the fault-free ``machine`` to its end, taking only ``grid``'s
+    snapshots, and check at each and at the end that it is where
+    ``stream`` is."""
+    engine = _FingerprintEngine(machine)
+    end = stream.total_ticks
+
+    def left(what: str, t: int) -> SnapshotError:
+        return SnapshotError(
+            f"fault-free run left the golden stream at tick {t}: its {what} "
+            "differs (a stream of another program, memory or step budget, "
+            "or a config under which a fault-free run commits another "
+            "stream)"
+        )
+
+    if machine._mem_fp != stream.mem_hashes[0]:
+        raise left("initial memory hash", 0)
+
+    def hook(label: str, pc: int, t: int, steps: int) -> None:
+        if t < grid.due:
+            return
+        if t > end:
+            raise left("tick count", t)
+        if steps != stream.tick_steps[t]:
+            raise left("step count", t)
+        if engine.memory_hash() != stream.mem_hashes[t]:
+            raise left("effective-memory hash", t)
+        # Tick t's own digest: the align index drops repeated ones.
+        if engine.register_hash(label, pc) != stream.reg_hashes[t]:
+            raise left("register digest", t)
+        grid.take(label, pc, t, steps)
+
+    machine._on_tick = hook
+    stats = machine.run()
+    machine._on_tick = None
+    if stats.committed - 1 != end:
+        raise left("tick count", stats.committed - 1)
+    if stats.committed + stats.regions != stream.total_steps:
+        raise left("step count", end)
+    # The final drain merges every pending store, and the RET stores
+    # nothing: the cells end as the last tick's effective image.
+    if machine._mem_fp != stream.mem_hashes[end]:
+        raise left("final image's hash", end)
 
 
 def prepare_accelerated_run(

@@ -539,7 +539,11 @@ class ResilientMachine:
         # not maintained; captured by snapshots), a per-tick callback
         # fired at the bottom of the run loop, and the restored loop
         # position consumed by the next run() call (both excluded from
-        # snapshots).
+        # snapshots). The callback does not fire while a strike is armed,
+        # nor on the strike's own tick. Its users lose nothing by that:
+        # golden recording, vulnerability occupancy and resumed runs arm
+        # no strike, and the convergence checker returns on any tick with
+        # a detection pending, which every strike target arms.
         self._mem_fp: int | None = None
         self._on_tick: Callable[[str, int, int, int], None] | None = None
         self._resume: tuple[str, int, int, int] | None = None
@@ -864,7 +868,7 @@ class ResilientMachine:
 
             if self.injection is not None:
                 self._maybe_inject(t)
-            if self._on_tick is not None:
+            elif self._on_tick is not None:
                 self._on_tick(label, pc, t, steps)
 
     # -- events, verification, detection ----------------------------------------

@@ -8,9 +8,11 @@ and kill/resume cycles must all be invisible in the aggregate JSON
 """
 
 import json
+from collections import Counter
 
 import pytest
 
+import repro.faults.campaign as campaign_module
 from repro.__main__ import main as cli_main
 from repro.faults.campaign import (
     AccelOptions,
@@ -139,6 +141,48 @@ class TestAccelInvisibility:
         assert all(
             hist["timeout"] == 3 for hist in on.per_variant().values()
         )
+
+
+class TestGoldenStreams:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_stream_per_program_and_step_budget(
+        self, monkeypatch, tmp_path, workers
+    ):
+        """A campaign records one full golden stream per (uid, max_steps)
+        and feeds it to every other variant's recording; forked workers
+        record nothing. Recordings are logged to a file, which the
+        workers' appends reach too."""
+        log = tmp_path / "recordings.log"
+        record = campaign_module.record_golden_run
+
+        def logged(*args, stream=None, **kwargs):
+            with open(log, "a") as fh:
+                kind = "full" if stream is None else "fed"
+                fh.write(f"{kind} {kwargs['max_steps']}\n")
+            return record(*args, stream=stream, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "record_golden_run", logged)
+        monkeypatch.setattr(campaign_module, "_GOLDEN_CACHE", {})
+        monkeypatch.setenv("REPRO_CACHE_DIR", "off")
+        budgets = (4_000_000, 3_000_000)
+        for max_steps in budgets:
+            spec = CampaignSpec(
+                uid=SPEC.uid,
+                count=4,
+                seed=SPEC.seed,
+                targets=("register",),
+                shard_size=2,
+                max_steps=max_steps,
+            )
+            CampaignRunner(spec).run(workers=workers)
+        variants = len(SPEC.variants)
+        assert Counter(log.read_text().splitlines()) == {
+            line: count
+            for max_steps in budgets
+            for line, count in (
+                (f"full {max_steps}", 1), (f"fed {max_steps}", variants - 1)
+            )
+        }
 
 
 class TestDifferentialResults:

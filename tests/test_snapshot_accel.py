@@ -15,7 +15,10 @@ history that disagrees with the memory hashes, runs blocked by such a
 cell skip ahead to a later snapshot (never with a tainted cell or over
 a golden store that would hide a written-back one, and with exact step
 counts), and golden records round-trip through the persistent artifact
-cache. The register digest
+cache. A fault-free run commits one per-tick stream under every config,
+so a record fed another config's stream equals a full recording, and a
+stream that differs from the run at a snapshot or at the end is refused;
+the convergence checker only runs after the strike. The register digest
 is checked against a naive tuple oracle and across processes, snapshot
 deltas against full-scan images, and restore against shared cells.
 """
@@ -25,6 +28,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+import pickle
 import struct
 import subprocess
 import sys
@@ -75,6 +79,7 @@ from repro.runtime.machine import (
     memory_fingerprint,
 )
 from repro.runtime.memory import Memory
+from repro.workloads.suites import quick_subset
 
 ARRAY = 0x400
 TRIP = 16
@@ -292,7 +297,10 @@ class TestGoldenRecord:
         )
         assert rec.total_ticks > 0
         assert len(rec.align_index) > 0
-        assert len(rec.tick_steps) == len(rec.mem_hashes) == rec.total_ticks + 1
+        assert (
+            len(rec.reg_hashes) == len(rec.tick_steps) == len(rec.mem_hashes)
+            == rec.total_ticks + 1
+        )
         assert rec.snap_times == sorted(rec.snap_times)
         assert len(rec.snap_times) == len(rec.snapshots)
         # Every aligned tick lies in the run's tick/step span.
@@ -494,6 +502,173 @@ class TestRegisterDigest:
         assert all(0 <= h < 2**64 for h in seen)
         assert _point_digest(3, 8, (0, 2))([1, 0, 1]) != digest([1, 0, 1])
         assert _point_digest(0, 0, ())([5]) == _point_digest(0, 0, ())([6])
+
+
+#: A golden record's per-tick fields: the stream every config shares.
+STREAM_FIELDS = (
+    "align_index", "reg_hashes", "tick_steps", "mem_hashes", "loads", "stores",
+)
+
+
+def _stream_of(rec: GoldenRecord) -> dict:
+    """The values of a record's per-tick stream, comparable with ``==``."""
+    stores = rec.stores
+    return {
+        "align_index": (rec.align_index.keys, rec.align_index.values),
+        "reg_hashes": rec.reg_hashes,
+        "tick_steps": rec.tick_steps,
+        "mem_hashes": rec.mem_hashes,
+        "loads": (rec.loads.addrs, rec.loads.ticks),
+        "stores": (stores.ticks, stores.addrs, stores.cell_addrs,
+                   stores.cell_ticks, stores.cell_values),
+        "totals": (rec.total_ticks, rec.total_steps),
+    }
+
+
+def _stream_configs() -> dict:
+    """The four variants at WCDL 10, turnpike at WCDL 50, and turnpike
+    with plain SEC in its protected arrays."""
+    configs = {f"{name}@10": make(10) for name, make in VARIANT_CONFIGS.items()}
+    configs["turnpike@50"] = _turnpike(50)
+    configs["turnpike@10+sec"] = sec = _turnpike()
+    sec.ecc_code = "sec"
+    return configs
+
+
+@pytest.fixture(scope="module")
+def bzip2_records():
+    """A full golden record of bzip2 per variant, at the default interval."""
+    compiled, memory, golden, _ = _campaign_context("CPU2006.bzip2")
+    return {
+        variant: record_golden_run(
+            compiled, make(10), memory, golden_image=golden
+        )
+        for variant, make in VARIANT_CONFIGS.items()
+    }
+
+
+class TestSharedStream:
+    """One per-tick stream per program, whatever the config."""
+
+    @pytest.mark.parametrize(
+        "uid", [p.uid for p in quick_subset()] + ["CPU2006.bzip2"]
+    )
+    def test_fault_free_stream_does_not_depend_on_the_config(self, uid):
+        """Full recordings under six configs commit the same stream, and
+        its length is the campaign's injection horizon."""
+        compiled, memory, golden, horizon = _campaign_context(uid)
+        streams = {
+            name: _stream_of(record_golden_run(
+                compiled, config, memory, interval=0, golden_image=golden
+            ))
+            for name, config in _stream_configs().items()
+        }
+        reference = streams.pop("turnpike@10")
+        assert reference["totals"][0] == horizon
+        for name, stream in streams.items():
+            assert stream == reference, name
+
+    @pytest.mark.parametrize("variant", sorted(VARIANT_CONFIGS))
+    def test_stream_fed_record_equals_a_full_one(self, bzip2_records, variant):
+        """Fed the stream of another config's snapshot-less recording, a
+        run takes the snapshots a full recording takes, and its record
+        holds the stream's own per-tick objects."""
+        compiled, memory, golden, _ = _campaign_context("CPU2006.bzip2")
+        stream = record_golden_run(
+            compiled, VARIANT_CONFIGS["turnstile"](50), memory, interval=0,
+            golden_image=golden,
+        )
+        full = bzip2_records[variant]
+        fed = record_golden_run(
+            compiled, VARIANT_CONFIGS[variant](10), memory,
+            golden_image=golden, stream=stream,
+        )
+        assert fed.snap_times == full.snap_times
+        assert len(fed.snapshots) > 100
+        assert pickle.dumps(fed.snapshots) == pickle.dumps(full.snapshots)
+        assert (fed.interval, fed.max_steps) == (full.interval, full.max_steps)
+        assert _stream_of(fed) == _stream_of(full)
+        for name in STREAM_FIELDS:
+            assert getattr(fed, name) is getattr(stream, name), name
+
+    @pytest.mark.parametrize(
+        ("name", "at_snapshot", "what"),
+        [
+            ("mem_hashes", True, "effective-memory hash"),
+            ("reg_hashes", True, "register digest"),
+            ("tick_steps", True, "step count"),
+            ("total_ticks", True, "tick count"),
+            ("mem_hashes", False, "final image's hash"),
+            ("total_steps", False, "step count"),
+            ("total_ticks", False, "tick count"),
+        ],
+    )
+    def test_stream_changed_where_it_is_checked_is_refused(
+        self, ctx, name, at_snapshot, what
+    ):
+        """One value changed at a snapshot tick (the second snapshot's, so
+        not the last tick), or at the end of a run without snapshots: the
+        fed run raises instead of trusting it."""
+        compiled, memory, golden, _ = ctx
+        interval = 16 if at_snapshot else 0
+        stream = record_golden_run(
+            compiled, _turnpike(), memory, interval=interval,
+            golden_image=golden,
+        )
+        tick = stream.snap_times[1] if at_snapshot else stream.total_ticks
+        assert not at_snapshot or tick < stream.total_ticks
+        doctored = copy.deepcopy(stream)
+        if name == "total_ticks":
+            # The stream ends just before the snapshot, or after the run.
+            doctored.total_ticks = tick - 1 if at_snapshot else tick + 1
+        elif name == "total_steps":
+            doctored.total_steps += 1
+        else:
+            getattr(doctored, name)[tick] ^= 1
+        with pytest.raises(
+            SnapshotError, match=f"at tick {tick}: its {what} differs"
+        ):
+            record_golden_run(
+                compiled, VARIANT_CONFIGS["unsafe"](10), memory,
+                interval=interval, stream=doctored,
+            )
+
+    @pytest.mark.parametrize("interval", [16, 0])
+    def test_stream_of_another_program_is_refused(
+        self, ctx, reread_ctx, interval
+    ):
+        """Both programs start from an empty memory: the snapshots catch
+        the other stream, and without snapshots the totals do."""
+        compiled, memory, _, _ = ctx
+        other, other_memory, _, _ = reread_ctx
+        stream = record_golden_run(
+            other, _turnpike(), other_memory, interval=interval
+        )
+        with pytest.raises(SnapshotError, match="left the golden stream"):
+            record_golden_run(
+                compiled, _turnpike(), memory, interval=interval,
+                stream=stream,
+            )
+
+    def test_stream_of_another_memory_is_refused(self, ctx):
+        compiled, memory, _, _ = ctx
+        stream = record_golden_run(compiled, _turnpike(), memory, interval=16)
+        other = memory.copy()
+        other.store(ARRAY + 4 * 1000, 5)
+        with pytest.raises(SnapshotError, match="initial memory hash"):
+            record_golden_run(
+                compiled, _turnpike(), other, interval=16, stream=stream
+            )
+
+    def test_stream_of_another_step_budget_is_refused(self, ctx):
+        compiled, memory, _, _ = ctx
+        stream = record_golden_run(
+            compiled, _turnpike(), memory, interval=16, max_steps=10**6
+        )
+        with pytest.raises(SnapshotError, match="max_steps=1000000"):
+            record_golden_run(
+                compiled, _turnpike(), memory, interval=16, stream=stream
+            )
 
 
 class TestSnapshotDeltas:
@@ -731,6 +906,68 @@ class TestConvergence:
             compiled, config, memory, injection, golden, accel=rec
         )
         assert outcome_to_dict(acc) == outcome_to_dict(ref)
+
+
+    @pytest.mark.parametrize("variant", sorted(VARIANT_CONFIGS))
+    def test_checker_runs_only_after_the_strike(
+        self, bzip2_records, variant, monkeypatch, exits
+    ):
+        """The run loop fires the tick hook only with no strike armed, so
+        the checker is called at every commit after the strike that
+        reaches the loop's bottom (all but a RET's) and at none before;
+        outcomes stay those of unaccelerated runs."""
+        compiled, memory, golden, horizon = _campaign_context("CPU2006.bzip2")
+        config = VARIANT_CONFIGS[variant](10)
+        calls: list[int] = []  # the run's commit count at each call
+        checker = snapshot_module._ConvergenceChecker
+        call = checker.__call__
+
+        def counted(self, label, pc, t, steps):
+            calls.append(self._machine.stats.committed)
+            return call(self, label, pc, t, steps)
+
+        struck: list[int] = []  # the commit count at the strike
+        drains: list[int] = []  # the commit count at each RET
+        maybe_inject = ResilientMachine._maybe_inject
+        drain = ResilientMachine._drain
+
+        def striking(self, t):
+            armed = self.injection
+            maybe_inject(self, t)
+            if armed is not None and self.injection is None:
+                struck.append(self.stats.committed)
+
+        def draining(self, t):
+            drains.append(self.stats.committed)
+            return drain(self, t)
+
+        monkeypatch.setattr(checker, "__call__", counted)
+        monkeypatch.setattr(ResilientMachine, "_maybe_inject", striking)
+        monkeypatch.setattr(ResilientMachine, "_drain", draining)
+        spliced = 0
+        for index in range(8):
+            injection = injection_for_index(
+                compiled, 10, 2024, index, horizon, DEFAULT_TARGET_MIX
+            )
+            for seen in (calls, struck, drains, exits):
+                seen.clear()
+            acc = run_with_injection(
+                compiled, config, memory, injection, golden,
+                accel=bzip2_records[variant],
+            )
+            (strike,) = struck
+            if exits:
+                # The exit is raised from the call at the run's last commit.
+                assert calls == [
+                    c for c in range(strike + 1, calls[-1] + 1)
+                    if c not in drains
+                ]
+                spliced += 1
+            else:
+                assert all(c > strike for c in calls)
+            ref = run_with_injection(compiled, config, memory, injection, golden)
+            assert outcome_to_dict(acc) == outcome_to_dict(ref)
+        assert spliced
 
 
 class TestInitialFingerprint:
@@ -1184,6 +1421,7 @@ class TestArtifactCache:
         assert isinstance(loaded, GoldenRecord)
         assert loaded.align_index.keys == rec.align_index.keys
         assert loaded.align_index.values == rec.align_index.values
+        assert loaded.reg_hashes == rec.reg_hashes
         assert loaded.tick_steps == rec.tick_steps
         assert loaded.mem_hashes == rec.mem_hashes
         assert loaded.loads.addrs == rec.loads.addrs

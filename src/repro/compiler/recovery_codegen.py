@@ -202,7 +202,7 @@ def evaluate_recovery_block(
     when the live bindings match the statically anticipated variant, the
     two must agree exactly.
     """
-    from repro.runtime.machine import _apply_opcode
+    from repro.runtime.machine import recompute
 
     env: dict[Reg, int] = {}
 
@@ -221,18 +221,16 @@ def evaluate_recovery_block(
         if expr.kind == "ckpt":
             return read_binding(expr.regs[0])
         values = [read_binding(r) for r in expr.regs]
-        return _apply_opcode(expr.opcode, values, expr.imm)
+        return recompute(expr.opcode, values, expr.imm)
 
     for step in block.steps:
         if step.kind == "load":
             env[step.target] = read_binding(step.source_reg)
         elif step.kind == "const":
             env[step.target] = wrap32(step.imm)
-        elif step.opcode is Opcode.MOV:
-            env[step.target] = env[step.operands[0]]
         else:
             values = [env[r] for r in step.operands]
-            env[step.target] = _apply_opcode(step.opcode, values, step.imm)
+            env[step.target] = recompute(step.opcode, values, step.imm)
     return env
 
 

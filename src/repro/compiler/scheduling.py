@@ -25,15 +25,16 @@ from dataclasses import dataclass
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.program import Program
 from repro.isa.registers import Reg
+from repro.isa.semantics import SEMANTICS
 
-# Static latency estimates used only for scheduling priorities.
-_LATENCY = {
-    Opcode.LD: 3,
-    Opcode.MUL: 3,
-    Opcode.MULI: 3,
-    Opcode.DIV: 12,
-    Opcode.REM: 12,
-}
+# Static latency estimates by trace kind, used only for scheduling
+# priorities and the R6 hazard audit; every other kind takes one cycle.
+_LATENCY = {"ld": 3, "mul": 3, "div": 12}
+
+
+def op_latency(op: Opcode) -> int:
+    """Estimated cycles from issuing ``op`` to its result being usable."""
+    return _LATENCY.get(SEMANTICS[op].kind, 1)
 
 
 @dataclass
@@ -122,7 +123,7 @@ def _schedule_segment(segment: list[Instruction]) -> list[Instruction]:
     # Critical-path height (latency-weighted longest path to any sink).
     height = [0] * n
     for i in range(n - 1, -1, -1):
-        lat = _LATENCY.get(segment[i].op, 1)
+        lat = op_latency(segment[i].op)
         best = 0
         for j in succs[i]:
             if height[j] > best:

@@ -49,7 +49,16 @@ from repro.faults.snapshot import (
 )
 from repro.isa.registers import Reg
 from repro.runtime.interpreter import execute
-from repro.runtime.machine import Injection, InjectionTarget, ResilienceConfig
+from repro.runtime.machine import (
+    VARIANT_CONFIGS,
+    Injection,
+    InjectionTarget,
+    ResilienceConfig,
+    turnpike_machine_config,
+    turnstile_machine_config,
+    unsafe_machine_config,
+    warfree_machine_config,
+)
 from repro.runtime.memory import Memory
 
 
@@ -75,42 +84,6 @@ class ProtocolCampaigns:
     turnpike: CampaignResult
     unsafe: CampaignResult
 
-
-def turnstile_machine_config(wcdl: int = 10) -> ResilienceConfig:
-    return ResilienceConfig(
-        wcdl=wcdl, clq_enabled=False, coloring_enabled=False
-    )
-
-
-def warfree_machine_config(wcdl: int = 10, clq_kind: str = "compact") -> ResilienceConfig:
-    return ResilienceConfig(
-        wcdl=wcdl, clq_enabled=True, clq_kind=clq_kind, coloring_enabled=False
-    )
-
-
-def turnpike_machine_config(wcdl: int = 10, clq_kind: str = "compact") -> ResilienceConfig:
-    return ResilienceConfig(
-        wcdl=wcdl, clq_enabled=True, clq_kind=clq_kind, coloring_enabled=True
-    )
-
-
-def unsafe_machine_config(wcdl: int = 10) -> ResilienceConfig:
-    """Figure 16: fast-release checkpoints with NO coloring. Must fail."""
-    return ResilienceConfig(
-        wcdl=wcdl,
-        clq_enabled=True,
-        coloring_enabled=False,
-        unsafe_checkpoint_release=True,
-    )
-
-
-#: The four protocol variants a differential campaign compares.
-VARIANT_CONFIGS: dict[str, Callable[[int], ResilienceConfig]] = {
-    "turnstile": turnstile_machine_config,
-    "warfree": warfree_machine_config,
-    "turnpike": turnpike_machine_config,
-    "unsafe": unsafe_machine_config,
-}
 
 DEFAULT_VARIANTS = tuple(VARIANT_CONFIGS)
 
@@ -318,7 +291,9 @@ def _golden_record(
     fault-free run — stored back to disk so every later worker, resume,
     or re-invocation starts warm. The per-tick stream does not depend on
     the config, so a fresh run reuses that of any memoised record of the
-    same uid and step budget, and only takes its own snapshots.
+    same uid and step budget, and only takes its own snapshots; a record
+    loaded from disk is rebound to that stream's objects when its own
+    per-tick fields equal them, and is rebuilt from it when they do not.
 
     Returns None when the campaign's step budget is too small for even
     the fault-free run to finish: acceleration silently degrades to the
@@ -347,16 +322,17 @@ def _golden_record(
         or record.max_steps != spec.max_steps
     ):
         record = None  # stale/foreign artifact: rebuild
+    stream = next(
+        (
+            rec
+            for (uid, _, _, _, max_steps, _), rec in _GOLDEN_CACHE.items()
+            if rec is not None and (uid, max_steps) == (spec.uid, spec.max_steps)
+        ),
+        None,
+    )
+    if record is not None and stream is not None:
+        record = record.share_stream(stream)
     if record is None:
-        stream = next(
-            (
-                rec
-                for (uid, _, _, _, max_steps, _), rec in _GOLDEN_CACHE.items()
-                if rec is not None
-                and (uid, max_steps) == (spec.uid, spec.max_steps)
-            ),
-            None,
-        )
         try:
             record = record_golden_run(
                 compiled,

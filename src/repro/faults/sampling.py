@@ -516,8 +516,8 @@ def validate_benchmark(
     from repro.faults.injector import golden_memory, run_with_injection
     from repro.faults.snapshot import DEFAULT_SNAPSHOT_INTERVAL
     from repro.isa.registers import Reg
-    from repro.runtime.machine import Injection, InjectionTarget
-    from repro.verify.vuln import variant_config, vulnerability_map
+    from repro.runtime.machine import Injection, InjectionTarget, variant_config
+    from repro.verify.vuln import vulnerability_map
     from repro.workloads.suites import load_workload
 
     vmap = vulnerability_map(

@@ -769,6 +769,15 @@ class GoldenRecord:
         i = self.snapshot_index_before(until)
         return i if i is not None and self.snap_times[i] > after else None
 
+    def share_stream(self, stream: GoldenRecord) -> GoldenRecord | None:
+        """This record holding ``stream``'s per-tick objects, or None when
+        the two per-tick streams differ in any field."""
+        if _stream_columns(self) != _stream_columns(stream):
+            return None
+        return replace(
+            self, **{name: getattr(stream, name) for name in _STREAM_FIELDS}
+        )
+
     def cells_at(self, index: int, base_cells: dict[int, int]) -> dict[int, int]:
         """Memory cell dict at snapshot ``index``: the initial image plus
         every delta up to and including that snapshot.
@@ -781,6 +790,24 @@ class GoldenRecord:
         for snap in self.snapshots[: index + 1]:
             cells.update(snap.mem_delta)
         return cells
+
+
+_STREAM_FIELDS = (
+    "total_ticks", "total_steps", "align_index", "reg_hashes", "tick_steps",
+    "mem_hashes", "loads", "stores",
+)
+
+
+def _stream_columns(record: GoldenRecord) -> list[object]:
+    """Every per-tick field of ``record``, the slotted ones as tuples."""
+    columns: list[object] = []
+    for name in _STREAM_FIELDS:
+        value = getattr(record, name)
+        slots = getattr(value, "__slots__", None)
+        columns.append(
+            value if slots is None else tuple(getattr(value, s) for s in slots)
+        )
+    return columns
 
 
 class _SnapshotGrid:

@@ -66,9 +66,10 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.instructions import BRANCH_OPS, Instruction, Opcode
 from repro.isa.program import Program
 from repro.isa.registers import Reg
+from repro.isa.semantics import SEMANTICS, wrap_expr
 from repro.runtime import trace as tr
 from repro.runtime.interpreter import (
     ExecutionLimitExceeded,
@@ -78,72 +79,6 @@ from repro.runtime.interpreter import (
 from repro.runtime.memory import Memory, STACK_BASE
 
 __all__ = ["ExitTable", "FastProgram", "compile_fast", "execute_fast"]
-
-
-# Signed 32-bit wrap as a branch-free expression (identical results to
-# memory.wrap32 for every int): ((x + 2^31) & (2^32 - 1)) - 2^31.
-def _wrap(expr: str) -> str:
-    return f"((({expr}) + 2147483648 & 4294967295) - 2147483648)"
-
-
-_BRANCH_CMP = {
-    Opcode.BEQ: "==",
-    Opcode.BNE: "!=",
-    Opcode.BLT: "<",
-    Opcode.BGE: ">=",
-}
-
-
-def _alu_expr(instr: Instruction, use: Callable[[Reg], str]) -> str:
-    """The exact expression :func:`interpreter._eval_alu` computes."""
-    op = instr.op
-    if op is Opcode.LI:
-        from repro.runtime.memory import wrap32
-
-        return repr(wrap32(instr.imm))
-    if op is Opcode.MOV:
-        return use(instr.srcs[0])
-    if op is Opcode.ADDI:
-        return _wrap(f"{use(instr.srcs[0])} + ({instr.imm})")
-    if op is Opcode.MULI:
-        return _wrap(f"{use(instr.srcs[0])} * ({instr.imm})")
-    if op is Opcode.ANDI:
-        return f"{use(instr.srcs[0])} & ({instr.imm})"
-    if op is Opcode.SHLI:
-        return _wrap(f"{use(instr.srcs[0])} << {instr.imm & 31}")
-    if op is Opcode.SHRI:
-        return f"({use(instr.srcs[0])} & 4294967295) >> {instr.imm & 31}"
-    if op is Opcode.NOP:
-        return "0"
-    a = use(instr.srcs[0])
-    b = use(instr.srcs[1])
-    if op is Opcode.ADD:
-        return _wrap(f"{a} + {b}")
-    if op is Opcode.SUB:
-        return _wrap(f"{a} - {b}")
-    if op is Opcode.MUL:
-        return _wrap(f"{a} * {b}")
-    if op is Opcode.DIV:
-        # int(a / b): C-style truncation via float division, exactly as
-        # the reference interpreter computes it.
-        return f"(0 if {b} == 0 else {_wrap(f'int({a} / {b})')})"
-    if op is Opcode.REM:
-        return f"(0 if {b} == 0 else {_wrap(f'{a} - int({a} / {b}) * {b}')})"
-    if op is Opcode.AND:
-        return f"{a} & {b}"
-    if op is Opcode.OR:
-        return f"{a} | {b}"
-    if op is Opcode.XOR:
-        return f"{a} ^ {b}"
-    if op is Opcode.SHL:
-        return _wrap(f"{a} << ({b} & 31)")
-    if op is Opcode.SHR:
-        return f"({a} & 4294967295) >> ({b} & 31)"
-    if op is Opcode.SLT:
-        return f"(1 if {a} < {b} else 0)"
-    if op is Opcode.SEQ:
-        return f"(1 if {a} == {b} else 0)"
-    raise ValueError(f"unhandled opcode {op}")
 
 
 def _region_of(instr: Instruction) -> int:
@@ -326,7 +261,7 @@ def _lower_block_body(
             value = st.use(srcs[0])
             base = st.use(srcs[1])
             emit(f"_a = {base} + ({instr.imm})" if instr.imm else f"_a = {base}")
-            emit(f"M[_a] = {_wrap(value)}")
+            emit(f"M[_a] = {wrap_expr(value)}")
             kind_ord = tr.STORE_KIND_ORDINAL.get(instr.store_kind, 0)
             emit(
                 f"A((4, -1, {_reg_index(srcs[0])}, {_reg_index(srcs[1])},"
@@ -343,7 +278,7 @@ def _lower_block_body(
             )
             continue
 
-        if op in _BRANCH_CMP:
+        if op in BRANCH_OPS:
             lhs = st.use(srcs[0])
             rhs = st.use(srcs[1])
             backward = 2 if block_order[instr.targets[0]] <= here_order else 0
@@ -356,7 +291,7 @@ def _lower_block_body(
                 f"(6, -1, {s1}, {s2}, {instr.uid}, {_region_of(instr)},"
                 f" {backward})"
             )
-            emit(f"_tk = {lhs} {_BRANCH_CMP[op]} {rhs}")
+            emit(f"_tk = {SEMANTICS[op].render(lhs, rhs)}")
             emit(f"A({taken_tup} if _tk else {fall_tup})", trace_only=True)
             return instr
 
@@ -374,7 +309,7 @@ def _lower_block_body(
             return instr
 
         # ALU family.
-        expr = _alu_expr(instr, st.use)
+        expr = SEMANTICS[op].render(*map(st.use, srcs), imm=instr.imm)
         dest_slot = -1
         if instr.dest is not None:
             dest_slot = _reg_index(instr.dest)

@@ -9,10 +9,13 @@ only); the full resilience protocol lives in
 
 from __future__ import annotations
 
-from repro.isa.instructions import Opcode
+from collections.abc import Iterator
+
+from repro.isa.instructions import BRANCH_OPS, Instruction, Opcode
 from repro.isa.program import Program
 from repro.isa.registers import Reg
-from repro.runtime.memory import Memory, STACK_BASE, wrap32
+from repro.isa.semantics import EVALUATORS
+from repro.runtime.memory import Memory, STACK_BASE
 from repro.runtime import trace as tr
 
 
@@ -149,10 +152,8 @@ def execute(
             pc += 1
             continue
 
-        if op in _BRANCH_EVAL:
-            lhs = get(srcs[0], 0)
-            rhs = get(srcs[1], 0)
-            taken = _BRANCH_EVAL[op](lhs, rhs)
+        if op in BRANCH_OPS:
+            taken = EVALUATORS[op](get(srcs[0], 0), get(srcs[1], 0), 0)
             target = instr.targets[0] if taken else instr.targets[1]
             if trace is not None:
                 backward = block_order[instr.targets[0]] <= block_order[label]
@@ -198,12 +199,17 @@ def execute(
             return ExecutionResult(mem, regs, steps, trace)
 
         # ALU family.
-        value = _eval_alu(op, instr, get)
+        n = len(srcs)
+        value = EVALUATORS[op](
+            get(srcs[0], 0) if n else 0,
+            get(srcs[1], 0) if n > 1 else 0,
+            instr.imm,
+        )
         if instr.dest is not None:
             regs[instr.dest] = value
         if trace is not None:
-            src1 = _reg_index(srcs[0]) if len(srcs) > 0 else -1
-            src2 = _reg_index(srcs[1]) if len(srcs) > 1 else -1
+            src1 = _reg_index(srcs[0]) if n else -1
+            src2 = _reg_index(srcs[1]) if n > 1 else -1
             trace.append(
                 (
                     tr.kind_of_opcode(op),
@@ -218,60 +224,23 @@ def execute(
         pc += 1
 
 
-_BRANCH_EVAL = {
-    Opcode.BEQ: lambda a, b: a == b,
-    Opcode.BNE: lambda a, b: a != b,
-    Opcode.BLT: lambda a, b: a < b,
-    Opcode.BGE: lambda a, b: a >= b,
-}
+def replay(
+    program: Program, trace: list[tuple]
+) -> Iterator[tuple[Instruction, tuple]]:
+    """Pair each entry of an :func:`execute` trace with its instruction.
 
-
-def _eval_alu(op: Opcode, instr, get) -> int:
-    srcs = instr.srcs
-    if op is Opcode.LI:
-        return wrap32(instr.imm)
-    if op is Opcode.MOV:
-        return get(srcs[0], 0)
-    if op is Opcode.ADDI:
-        return wrap32(get(srcs[0], 0) + instr.imm)
-    if op is Opcode.MULI:
-        return wrap32(get(srcs[0], 0) * instr.imm)
-    if op is Opcode.ANDI:
-        return get(srcs[0], 0) & instr.imm
-    if op is Opcode.SHLI:
-        return wrap32(get(srcs[0], 0) << (instr.imm & 31))
-    if op is Opcode.SHRI:
-        return (get(srcs[0], 0) & 0xFFFF_FFFF) >> (instr.imm & 31)
-    a = get(srcs[0], 0)
-    b = get(srcs[1], 0)
-    if op is Opcode.ADD:
-        return wrap32(a + b)
-    if op is Opcode.SUB:
-        return wrap32(a - b)
-    if op is Opcode.MUL:
-        return wrap32(a * b)
-    if op is Opcode.DIV:
-        if b == 0:
-            return 0
-        return wrap32(int(a / b))  # C-style truncation
-    if op is Opcode.REM:
-        if b == 0:
-            return 0
-        return wrap32(a - int(a / b) * b)
-    if op is Opcode.AND:
-        return a & b
-    if op is Opcode.OR:
-        return a | b
-    if op is Opcode.XOR:
-        return a ^ b
-    if op is Opcode.SHL:
-        return wrap32(a << (b & 31))
-    if op is Opcode.SHR:
-        return (a & 0xFFFF_FFFF) >> (b & 31)
-    if op is Opcode.SLT:
-        return 1 if a < b else 0
-    if op is Opcode.SEQ:
-        return 1 if a == b else 0
-    if op is Opcode.NOP:
-        return 0
-    raise ValueError(f"unhandled opcode {op}")
+    ``execute`` appends exactly one entry per instruction it runs, and a
+    branch entry's ``aux & 1`` says which target it took, so walking the
+    blocks along the trace recovers the dynamic instruction stream.
+    """
+    blocks = {b.label: b.instructions for b in program.blocks}
+    instrs = blocks[program.entry.label]
+    pc = 0
+    for entry in trace:
+        instr = instrs[pc]
+        yield instr, entry
+        if instr.targets:
+            instrs = blocks[instr.targets[0] if entry[6] & 1 else instr.targets[1]]
+            pc = 0
+        else:
+            pc += 1

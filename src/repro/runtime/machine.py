@@ -43,10 +43,10 @@ from repro.arch.rbb import RegionBoundaryBuffer, RegionInstance
 from repro.arch.store_buffer import FunctionalStoreBuffer, SBEntry
 from repro.compiler.pipeline import CompiledProgram
 from repro.compiler.pruning import PRUNED_ANNOTATION, RecoveryExpr
-from repro.isa.instructions import Opcode
+from repro.isa.instructions import BRANCH_OPS, Instruction, Opcode
 from repro.isa.program import Program
 from repro.isa.registers import Reg
-from repro.runtime.interpreter import _BRANCH_EVAL
+from repro.isa.semantics import EVALUATORS, SEMANTICS
 from repro.runtime.memory import DATA_BASE, DATA_LIMIT, Memory, STACK_BASE, wrap32
 
 
@@ -215,6 +215,45 @@ class ResilienceConfig:
     ecc_code: str | None = None
 
 
+def turnstile_machine_config(wcdl: int = 10) -> ResilienceConfig:
+    return ResilienceConfig(wcdl=wcdl, clq_enabled=False, coloring_enabled=False)
+
+
+def warfree_machine_config(wcdl: int = 10) -> ResilienceConfig:
+    return ResilienceConfig(wcdl=wcdl, clq_enabled=True, coloring_enabled=False)
+
+
+def turnpike_machine_config(wcdl: int = 10) -> ResilienceConfig:
+    return ResilienceConfig(wcdl=wcdl, clq_enabled=True, coloring_enabled=True)
+
+
+def unsafe_machine_config(wcdl: int = 10) -> ResilienceConfig:
+    """Figure 16: fast-release checkpoints with NO coloring. Must fail."""
+    return ResilienceConfig(
+        wcdl=wcdl,
+        clq_enabled=True,
+        coloring_enabled=False,
+        unsafe_checkpoint_release=True,
+    )
+
+
+#: The four protocol variants a differential campaign compares.
+VARIANT_CONFIGS: dict[str, Callable[[int], ResilienceConfig]] = {
+    "turnstile": turnstile_machine_config,
+    "warfree": warfree_machine_config,
+    "turnpike": turnpike_machine_config,
+    "unsafe": unsafe_machine_config,
+}
+
+
+def variant_config(variant: str, wcdl: int = 10) -> ResilienceConfig:
+    """The machine config of one protocol variant."""
+    make = VARIANT_CONFIGS.get(variant)
+    if make is None:
+        raise ValueError(f"unknown protocol variant {variant!r}")
+    return make(wcdl)
+
+
 @dataclass(slots=True)
 class MachineStats:
     committed: int = 0
@@ -300,11 +339,11 @@ class RegFile:
 #
 # run() executes pre-decoded instruction tuples instead of re-inspecting
 # Instruction objects every iteration. Each tuple starts with a small int
-# kind tag; ALU and branch instructions carry a closure specialised over
-# the flat register list with operand indices and immediates bound at
-# decode time. Decoding is memoised per Program (weakly, so programs are
-# collectable) — a fault campaign re-running one program thousands of
-# times decodes it once.
+# kind tag; ALU and branch instructions carry a closure compiled from the
+# opcode's value template over the flat register list, with operand
+# indices and immediates inlined as constants. Decoding is memoised per
+# Program (weakly, so programs are collectable) — a fault campaign
+# re-running one program thousands of times decodes it once.
 
 _K_BOUNDARY = 0
 _K_LD = 1
@@ -319,100 +358,13 @@ _K_FELL = 9
 
 _INF = float("inf")
 
-# Inline wrap-to-signed-32: ((x + 2**31) & 0xFFFFFFFF) - 2**31 is
-# algebraically identical to memory.wrap32 for every int x.
 
-
-def _compile_alu(instr) -> Callable[[list[int]], int]:
-    """One closure per ALU instruction, semantics of interpreter._eval_alu."""
-    op = instr.op
-    imm = instr.imm
-    srcs = instr.srcs
-    if op is Opcode.LI:
-        v = wrap32(imm)
-        return lambda R, v=v: v
-    if op is Opcode.NOP:
-        return lambda R: 0
-    a = srcs[0].index
-    if op is Opcode.MOV:
-        return lambda R, a=a: R[a]
-    if op is Opcode.ADDI:
-        return (
-            lambda R, a=a, i=imm: ((R[a] + i + 0x8000_0000) & 0xFFFF_FFFF)
-            - 0x8000_0000
-        )
-    if op is Opcode.MULI:
-        return (
-            lambda R, a=a, i=imm: ((R[a] * i + 0x8000_0000) & 0xFFFF_FFFF)
-            - 0x8000_0000
-        )
-    if op is Opcode.ANDI:
-        return lambda R, a=a, i=imm: R[a] & i
-    if op is Opcode.SHLI:
-        s = imm & 31
-        return (
-            lambda R, a=a, s=s: (((R[a] << s) + 0x8000_0000) & 0xFFFF_FFFF)
-            - 0x8000_0000
-        )
-    if op is Opcode.SHRI:
-        s = imm & 31
-        return lambda R, a=a, s=s: (R[a] & 0xFFFF_FFFF) >> s
-    b = srcs[1].index
-    if op is Opcode.ADD:
-        return (
-            lambda R, a=a, b=b: ((R[a] + R[b] + 0x8000_0000) & 0xFFFF_FFFF)
-            - 0x8000_0000
-        )
-    if op is Opcode.SUB:
-        return (
-            lambda R, a=a, b=b: ((R[a] - R[b] + 0x8000_0000) & 0xFFFF_FFFF)
-            - 0x8000_0000
-        )
-    if op is Opcode.MUL:
-        return (
-            lambda R, a=a, b=b: ((R[a] * R[b] + 0x8000_0000) & 0xFFFF_FFFF)
-            - 0x8000_0000
-        )
-    if op is Opcode.DIV:
-        return lambda R, a=a, b=b: 0 if R[b] == 0 else wrap32(int(R[a] / R[b]))
-    if op is Opcode.REM:
-        return (
-            lambda R, a=a, b=b: 0
-            if R[b] == 0
-            else wrap32(R[a] - int(R[a] / R[b]) * R[b])
-        )
-    if op is Opcode.AND:
-        return lambda R, a=a, b=b: R[a] & R[b]
-    if op is Opcode.OR:
-        return lambda R, a=a, b=b: R[a] | R[b]
-    if op is Opcode.XOR:
-        return lambda R, a=a, b=b: R[a] ^ R[b]
-    if op is Opcode.SHL:
-        return (
-            lambda R, a=a, b=b: (
-                ((R[a] << (R[b] & 31)) + 0x8000_0000) & 0xFFFF_FFFF
-            )
-            - 0x8000_0000
-        )
-    if op is Opcode.SHR:
-        return lambda R, a=a, b=b: (R[a] & 0xFFFF_FFFF) >> (R[b] & 31)
-    if op is Opcode.SLT:
-        return lambda R, a=a, b=b: 1 if R[a] < R[b] else 0
-    if op is Opcode.SEQ:
-        return lambda R, a=a, b=b: 1 if R[a] == R[b] else 0
-    raise ProtocolError(f"unhandled ALU opcode {op}")
-
-
-def _compile_branch(op: Opcode, a: int, b: int) -> Callable[[list[int]], bool]:
-    if op is Opcode.BEQ:
-        return lambda R, a=a, b=b: R[a] == R[b]
-    if op is Opcode.BNE:
-        return lambda R, a=a, b=b: R[a] != R[b]
-    if op is Opcode.BLT:
-        return lambda R, a=a, b=b: R[a] < R[b]
-    if op is Opcode.BGE:
-        return lambda R, a=a, b=b: R[a] >= R[b]
-    raise ProtocolError(f"unhandled branch opcode {op}")
+def _compile(instr: Instruction) -> Callable[[list[int]], int]:
+    """``lambda R: <value template over R[i], R[j], imm>`` for one ALU
+    or branch instruction."""
+    operands = [f"R[{reg.index}]" for reg in instr.srcs]
+    expr = SEMANTICS[instr.op].render(*operands, imm=instr.imm)
+    return eval(f"lambda R: {expr}", {})  # noqa: S307 - rendered from the table
 
 
 def _decode_block(label: str, instructions, num_registers: int) -> list[tuple]:
@@ -441,9 +393,8 @@ def _decode_block(label: str, instructions, num_registers: int) -> list[tuple]:
         elif op is Opcode.CKPT:
             reg = instr.srcs[0]
             out.append((_K_CKPT, reg.index, reg))
-        elif op in _BRANCH_EVAL:
-            fn = _compile_branch(op, instr.srcs[0].index, instr.srcs[1].index)
-            out.append((_K_BR, fn, instr.targets[0], instr.targets[1]))
+        elif op in BRANCH_OPS:
+            out.append((_K_BR, _compile(instr), instr.targets[0], instr.targets[1]))
         elif op is Opcode.JMP:
             out.append((_K_JMP, instr.targets[0]))
         elif op is Opcode.RET:
@@ -453,7 +404,7 @@ def _decode_block(label: str, instructions, num_registers: int) -> list[tuple]:
         else:
             pruned = instr.annotations.get(PRUNED_ANNOTATION)
             out.append(
-                (_K_ALU, instr.dest.index, _compile_alu(instr), instr, pruned)
+                (_K_ALU, instr.dest.index, _compile(instr), instr, pruned)
             )
     # Sentinel so pc == len dispatches to the fell-off error without a
     # bounds check every iteration.
@@ -1361,45 +1312,16 @@ class ResilientMachine:
                 self._resolve_binding(reg.index, resolving)
                 for reg in expr.regs
             ]
-            return _apply_opcode(expr.opcode, values, expr.imm)
+            return recompute(expr.opcode, values, expr.imm)
         raise RecoveryFailure(f"unknown recovery expr kind {expr.kind!r}")
 
 
-def _apply_opcode(op: Opcode, values: list[int], imm: int) -> int:
-    a = values[0]
+def recompute(op: Opcode | None, values: list[int], imm: int) -> int:
+    """One step of a pruned register's recovery slice: ``op`` over the
+    recovered operand ``values``, by the semantics table."""
+    evaluator = EVALUATORS.get(op)
+    if evaluator is None:
+        raise RecoveryFailure(f"unsupported recovery opcode {op}")
+    a = values[0] if values else 0
     b = values[1] if len(values) > 1 else 0
-    if op is Opcode.ADDI:
-        return wrap32(a + imm)
-    if op is Opcode.MULI:
-        return wrap32(a * imm)
-    if op is Opcode.ANDI:
-        return a & imm
-    if op is Opcode.SHLI:
-        return wrap32(a << (imm & 31))
-    if op is Opcode.SHRI:
-        return (a & 0xFFFF_FFFF) >> (imm & 31)
-    if op is Opcode.ADD:
-        return wrap32(a + b)
-    if op is Opcode.SUB:
-        return wrap32(a - b)
-    if op is Opcode.MUL:
-        return wrap32(a * b)
-    if op is Opcode.DIV:
-        return 0 if b == 0 else wrap32(int(a / b))
-    if op is Opcode.REM:
-        return 0 if b == 0 else wrap32(a - int(a / b) * b)
-    if op is Opcode.AND:
-        return a & b
-    if op is Opcode.OR:
-        return a | b
-    if op is Opcode.XOR:
-        return a ^ b
-    if op is Opcode.SHL:
-        return wrap32(a << (b & 31))
-    if op is Opcode.SHR:
-        return (a & 0xFFFF_FFFF) >> (b & 31)
-    if op is Opcode.SLT:
-        return 1 if a < b else 0
-    if op is Opcode.SEQ:
-        return 1 if a == b else 0
-    raise RecoveryFailure(f"unsupported recovery opcode {op}")
+    return evaluator(a, b, imm)

@@ -19,6 +19,7 @@ Checkpoints carry the saved register in ``src1``.
 from __future__ import annotations
 
 from repro.isa.instructions import Opcode, StoreKind
+from repro.isa.semantics import SEMANTICS
 
 K_ALU = 0
 K_MUL = 1
@@ -48,52 +49,13 @@ STORE_KIND_ORDINAL = {
     StoreKind.CHECKPOINT: 2,
 }
 
-# Opcode -> trace kind for non-memory, non-control instructions.
-_ALU_LIKE = {
-    Opcode.ADD,
-    Opcode.SUB,
-    Opcode.AND,
-    Opcode.OR,
-    Opcode.XOR,
-    Opcode.SHL,
-    Opcode.SHR,
-    Opcode.SLT,
-    Opcode.SEQ,
-    Opcode.ADDI,
-    Opcode.ANDI,
-    Opcode.SHLI,
-    Opcode.SHRI,
-    Opcode.LI,
-    Opcode.MOV,
-    Opcode.NOP,
-}
-
-
-_BRANCH_LIKE = {Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE, Opcode.JMP}
+_KIND_CODES = {name: kind for kind, name in KIND_NAMES.items()}
+# The kind column of the semantics table, as trace codes.
+_KIND_OF_OPCODE = {op: _KIND_CODES[row.kind] for op, row in SEMANTICS.items()}
 
 
 def kind_of_opcode(op: Opcode) -> int:
-    if op in _ALU_LIKE:
-        return K_ALU
-    if op in _BRANCH_LIKE:
-        return K_BR
-    if op in (Opcode.MUL, Opcode.MULI):
-        return K_MUL
-    if op in (Opcode.DIV, Opcode.REM):
-        return K_DIV
-    if op is Opcode.LD:
-        return K_LD
-    if op is Opcode.ST:
-        return K_ST
-    if op is Opcode.CKPT:
-        return K_CKPT
-    if op is Opcode.JMP:
-        return K_BR
-    if op is Opcode.RET:
-        return K_RET
-    if op is Opcode.BOUNDARY:
-        return K_BOUNDARY
-    raise ValueError(f"unmapped opcode {op}")
+    return _KIND_OF_OPCODE[op]
 
 
 class TraceSummary:

@@ -17,7 +17,7 @@ Single-cycle producers can never stall their checkpoint and are skipped.
 
 from __future__ import annotations
 
-from repro.compiler.scheduling import _LATENCY
+from repro.compiler.scheduling import op_latency
 from repro.isa.registers import Reg
 from repro.verify.diagnostics import Diagnostic, Location, Severity
 from repro.verify.manager import VerifierContext, VerifierRule
@@ -77,7 +77,7 @@ class SchedulingHazardRule(VerifierRule):
                                 )
                             )
                 elif instr.dest is not None:
-                    latency = _LATENCY.get(instr.op, 1)
+                    latency = op_latency(instr.op)
                     if latency > 1:
                         last_def[instr.dest] = (slot, latency)
                     else:

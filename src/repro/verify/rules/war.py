@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from repro.isa.instructions import Opcode
 from repro.isa.program import Program
 from repro.isa.registers import Reg
-from repro.runtime.interpreter import _BRANCH_EVAL, _eval_alu
-from repro.runtime.memory import Memory, STACK_BASE
+from repro.runtime.interpreter import execute, replay
+from repro.runtime.memory import Memory
 from repro.verify.diagnostics import Diagnostic, Location, Severity
 from repro.verify.manager import VerifierContext, VerifierRule
 
@@ -180,62 +180,24 @@ def simulate_war(
     when an earlier load *of the same region instance* read its address
     — with exact (ideal CLQ) address matching.
     """
-    regs: dict[Reg, int] = {program.register_file.stack_pointer: STACK_BASE}
-    blocks = {b.label: b.instructions for b in program.blocks}
-    label = program.entry.label
-    instrs = blocks[label]
-    pc = 0
-    steps = 0
+    trace = execute(program, memory, max_steps=max_steps, collect_trace=True).trace
+    assert trace is not None
     instance_loads: set[int] = set()
     out: dict[int, DynamicStoreStats] = {}
-    get = regs.get
-    while True:
-        if pc >= len(instrs):
-            raise RuntimeError(f"fell off the end of block {label!r}")
-        instr = instrs[pc]
-        steps += 1
-        if steps > max_steps:
-            raise RuntimeError(
-                f"{program.name}: differential run exceeded {max_steps} steps"
-            )
+    for instr, entry in replay(program, trace):
         op = instr.op
-        srcs = instr.srcs
         if op is Opcode.BOUNDARY:
             instance_loads.clear()
-            pc += 1
         elif op is Opcode.LD:
-            addr = get(srcs[0], 0) + instr.imm
-            instance_loads.add(addr)
-            regs[instr.dest] = memory.load(addr)
-            pc += 1
+            instance_loads.add(entry[4])
         elif op is Opcode.ST:
-            addr = get(srcs[1], 0) + instr.imm
             stats = out.get(instr.uid)
             if stats is None:
                 stats = out[instr.uid] = DynamicStoreStats()
             stats.executions += 1
-            if addr in instance_loads:
+            if entry[4] in instance_loads:
                 stats.conflicts += 1
-            memory.store(addr, get(srcs[0], 0))
-            pc += 1
-        elif op is Opcode.CKPT:
-            pc += 1
-        elif op in _BRANCH_EVAL:
-            taken = _BRANCH_EVAL[op](get(srcs[0], 0), get(srcs[1], 0))
-            label = instr.targets[0] if taken else instr.targets[1]
-            instrs = blocks[label]
-            pc = 0
-        elif op is Opcode.JMP:
-            label = instr.targets[0]
-            instrs = blocks[label]
-            pc = 0
-        elif op is Opcode.RET:
-            return out
-        else:
-            value = _eval_alu(op, instr, get)
-            if instr.dest is not None:
-                regs[instr.dest] = value
-            pc += 1
+    return out
 
 
 class WarFreedomRule(VerifierRule):

@@ -26,7 +26,8 @@ the committed golden instruction stream shows the bit dead after ``t``.
 Every injection schedules acoustic detection within WCDL cycles, and
 region-level recovery restores live-in registers from verified bindings
 while dead registers are rewritten before any replayed read. The
-transfer functions are conservative where precision is not worth the
+transfer functions (the demand column of :mod:`repro.isa.semantics`)
+are conservative where precision is not worth the
 risk: load/store addresses, store values, branch operands and
 checkpointed registers are always treated as full 32-bit reads, and
 carry-propagating ALU ops (ADD/SUB/MUL and immediate forms) read the
@@ -48,15 +49,15 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.isa.instructions import BRANCH_OPS, Instruction, Opcode
+from repro.isa.instructions import Instruction, Opcode
 from repro.isa.program import Program
-from repro.runtime.interpreter import _BRANCH_EVAL, _eval_alu
-from repro.runtime.machine import ResilienceConfig, ResilientMachine
-from repro.runtime.memory import STACK_BASE, Memory
+from repro.isa.semantics import FULL, SEMANTICS
+from repro.runtime.interpreter import execute, replay
+from repro.runtime.machine import ResilienceConfig, ResilientMachine, variant_config
+from repro.runtime.memory import Memory
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.compiler.pipeline import CompiledProgram
-    from repro.isa.registers import Reg
 
 MASKED = "masked"
 VULNERABLE = "vulnerable"
@@ -71,31 +72,6 @@ DEFAULT_VULN_VARIANTS = ("turnstile", "warfree", "turnpike")
 
 #: Structures whose occupancy the analysis models per cycle.
 STRUCTURE_TARGETS = ("store_buffer", "clq", "coloring")
-
-_FULL = 0xFFFF_FFFF
-
-
-def variant_config(variant: str, wcdl: int = 10) -> ResilienceConfig:
-    """The machine config of one campaign protocol variant.
-
-    Mirrors the constructors in :mod:`repro.faults.campaign` (kept
-    independent to avoid an import cycle through the sampling module;
-    ``tests/test_vuln_analysis.py`` locks the two in agreement).
-    """
-    if variant == "turnstile":
-        return ResilienceConfig(wcdl=wcdl, clq_enabled=False, coloring_enabled=False)
-    if variant == "warfree":
-        return ResilienceConfig(wcdl=wcdl, clq_enabled=True, coloring_enabled=False)
-    if variant == "turnpike":
-        return ResilienceConfig(wcdl=wcdl, clq_enabled=True, coloring_enabled=True)
-    if variant == "unsafe":
-        return ResilienceConfig(
-            wcdl=wcdl,
-            clq_enabled=True,
-            coloring_enabled=False,
-            unsafe_checkpoint_release=True,
-        )
-    raise ValueError(f"unknown protocol variant {variant!r}")
 
 
 def scheme_variant(scheme: str) -> str | None:
@@ -118,138 +94,39 @@ def committed_stream(
     the ``t``-th entry, 1-based; the final entry is the RET). BOUNDARY
     markers do not advance the machine's tick and are excluded.
     """
-    regs: dict[Reg, int] = {program.register_file.stack_pointer: STACK_BASE}
-    blocks = {b.label: b.instructions for b in program.blocks}
-    label = program.entry.label
-    instrs = blocks[label]
-    pc = 0
-    steps = 0
-    out: list[Instruction] = []
-    get = regs.get
-    while True:
-        if pc >= len(instrs):
-            raise RuntimeError(f"fell off the end of block {label!r}")
-        instr = instrs[pc]
-        steps += 1
-        if steps > max_steps:
-            raise RuntimeError(
-                f"{program.name}: vulnerability walk exceeded {max_steps} steps"
-            )
-        op = instr.op
-        srcs = instr.srcs
-        if op is Opcode.BOUNDARY:
-            pc += 1
-            continue
-        out.append(instr)
-        if op is Opcode.LD:
-            addr = get(srcs[0], 0) + instr.imm
-            if instr.dest is not None:
-                regs[instr.dest] = memory.load(addr)
-            pc += 1
-        elif op is Opcode.ST:
-            addr = get(srcs[1], 0) + instr.imm
-            memory.store(addr, get(srcs[0], 0))
-            pc += 1
-        elif op is Opcode.CKPT:
-            pc += 1
-        elif op in _BRANCH_EVAL:
-            taken = _BRANCH_EVAL[op](get(srcs[0], 0), get(srcs[1], 0))
-            label = instr.targets[0] if taken else instr.targets[1]
-            instrs = blocks[label]
-            pc = 0
-        elif op is Opcode.JMP:
-            label = instr.targets[0]
-            instrs = blocks[label]
-            pc = 0
-        elif op is Opcode.RET:
-            return out
-        else:
-            value = _eval_alu(op, instr, get)
-            if instr.dest is not None:
-                regs[instr.dest] = value
-            pc += 1
+    trace = execute(program, memory, max_steps=max_steps, collect_trace=True).trace
+    assert trace is not None
+    return [
+        instr
+        for instr, _ in replay(program, trace)
+        if instr.op is not Opcode.BOUNDARY
+    ]
 
 
 # -- backward bit-level liveness ---------------------------------------------
-
-
-def _down_fill(mask: int) -> int:
-    """All bits at or below the mask's most significant set bit."""
-    return (1 << mask.bit_length()) - 1 if mask else 0
-
-
-_LINEAR_OPS = frozenset(
-    {Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.ADDI, Opcode.MULI}
-)
-_BITWISE_OPS = frozenset({Opcode.AND, Opcode.OR, Opcode.XOR})
-_OPAQUE_OPS = frozenset(
-    {Opcode.DIV, Opcode.REM, Opcode.SLT, Opcode.SEQ, Opcode.SHL, Opcode.SHR}
-)
 
 
 def _transfer(instr: Instruction, live: dict[int, int]) -> None:
     """One backward step: update live-after masks across ``instr``.
 
     ``live`` maps register index to the live-after bit mask *below* the
-    instruction; on return it holds the mask *above* it.
+    instruction; on return it holds the mask *above* it. The demand
+    column of the semantics table says which source bits each demanded
+    result bit reads; a row without one (loads, stores, checkpoints,
+    branches) reads its sources in full even when its result is dead.
     """
-    op = instr.op
-    srcs = instr.srcs
-
-    def read_full(regs: tuple[Reg, ...]) -> None:
-        for reg in regs:
-            live[reg.index] = _FULL
-
-    if op in BRANCH_OPS:
-        read_full(srcs)
-        return
-    if op is Opcode.CKPT or op is Opcode.ST:
-        # Checkpointed values feed recovery; store value and address feed
-        # memory. All are unconditional full-width reads.
-        read_full(srcs)
-        return
-    if op is Opcode.JMP or op is Opcode.RET or op is Opcode.BOUNDARY:
-        return
-
+    demand = SEMANTICS[instr.op].demand
     dest = instr.dest
-    if op is Opcode.LD:
-        if dest is not None:
-            live.pop(dest.index, None)
-        # The base address steers which word is read: always live, even
-        # when the loaded value is dead (a corrupt address could perturb
-        # CLQ bookkeeping the fast-release argument depends on).
-        read_full(srcs[:1])
-        return
-
-    if dest is None:
-        return
-    dmask = live.pop(dest.index, 0)
-    if not dmask:
-        return  # fully dead destination: a pure ALU op reads nothing live
-    gains: dict[int, int] = {}
-    if op in _LINEAR_OPS:
-        gain = _down_fill(dmask)
-        for reg in srcs:
-            gains[reg.index] = gains.get(reg.index, 0) | gain
-    elif op in _BITWISE_OPS or op is Opcode.MOV:
-        for reg in srcs:
-            gains[reg.index] = gains.get(reg.index, 0) | dmask
-    elif op is Opcode.ANDI:
-        gains[srcs[0].index] = dmask & instr.imm & _FULL
-    elif op is Opcode.SHLI:
-        gains[srcs[0].index] = dmask >> (instr.imm & 31)
-    elif op is Opcode.SHRI:
-        gains[srcs[0].index] = (dmask << (instr.imm & 31)) & _FULL
-    elif op is Opcode.LI:
-        pass  # no register sources
+    dmask = live.pop(dest.index, 0) if dest is not None else 0
+    if demand is None:
+        gain = FULL
+    elif dmask:
+        gain = demand(dmask, instr.imm)
     else:
-        # Opaque or unmodelled op (DIV/REM/compares/variable shifts):
-        # any live destination bit may depend on every source bit.
-        for reg in srcs:
-            gains[reg.index] = _FULL
-    for index, gain in gains.items():
-        if gain:
-            live[index] = live.get(index, 0) | gain
+        return  # dead destination: a pure ALU op reads nothing live
+    if gain:
+        for reg in instr.srcs:
+            live[reg.index] = live.get(reg.index, 0) | gain
 
 
 def register_bit_liveness(

@@ -8,6 +8,7 @@ and kill/resume cycles must all be invisible in the aggregate JSON
 """
 
 import json
+import shutil
 from collections import Counter
 
 import pytest
@@ -15,11 +16,13 @@ import pytest
 import repro.faults.campaign as campaign_module
 from repro.__main__ import main as cli_main
 from repro.faults.campaign import (
+    VARIANT_CONFIGS,
     AccelOptions,
     CampaignRunner,
     CampaignSpec,
     format_differential_report,
 )
+from repro.harness.artifacts import ArtifactCache
 
 SPEC = CampaignSpec(
     uid="CPU2006.bzip2",
@@ -183,6 +186,79 @@ class TestGoldenStreams:
                 (f"full {max_steps}", 1), (f"fed {max_steps}", variants - 1)
             )
         }
+
+
+@pytest.fixture(scope="module")
+def filled_cache(tmp_path_factory):
+    """An artifact cache filled by `repro inject CPU2006.bzip2 --count 4
+    --seed 7`: one golden-*.pkl per variant."""
+    root = tmp_path_factory.mktemp("filled-cache")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(root))
+        mp.setattr(campaign_module, "_GOLDEN_CACHE", {})
+        args = ["inject", "CPU2006.bzip2", "--count", "4", "--seed", "7"]
+        assert cli_main(args) == 0
+    assert len(list(root.glob("golden-*.pkl"))) == len(SPEC.variants)
+    return root
+
+
+class TestLoadedGoldenRecords:
+    SPEC = CampaignSpec(uid="CPU2006.bzip2", count=4, seed=7)
+    STREAM_FIELDS = (
+        "align_index", "reg_hashes", "tick_steps", "mem_hashes", "loads",
+        "stores",
+    )
+
+    @pytest.fixture
+    def cache(self, filled_cache, tmp_path, monkeypatch, capsys):
+        """A copy of the filled cache, an empty per-process memo, and a
+        log of the golden recordings made."""
+        root = tmp_path / "cache"
+        shutil.copytree(filled_cache, root)
+        capsys.readouterr()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+        monkeypatch.setattr(campaign_module, "_GOLDEN_CACHE", {})
+        self.recorded = []
+        record = campaign_module.record_golden_run
+
+        def logged(*args, stream=None, **kwargs):
+            self.recorded.append(stream)
+            return record(*args, stream=stream, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "record_golden_run", logged)
+        return ArtifactCache(root)
+
+    def load(self, variant):
+        return campaign_module._golden_record(
+            self.SPEC, variant, AccelOptions().snapshot_interval
+        )
+
+    def test_records_loaded_from_disk_share_one_stream(self, cache):
+        first, *others = map(self.load, self.SPEC.variants)
+        assert self.recorded == []
+        for record in others:
+            assert record.tick_steps is first.tick_steps
+            for name in self.STREAM_FIELDS:
+                assert getattr(record, name) is getattr(first, name)
+            assert record.snapshots is not first.snapshots
+
+    def test_loaded_record_with_another_stream_is_rebuilt(self, cache):
+        first_variant, variant = self.SPEC.variants[:2]
+        key = ArtifactCache.golden_key(
+            self.SPEC.uid,
+            VARIANT_CONFIGS[variant](self.SPEC.wcdl),
+            AccelOptions().snapshot_interval,
+            self.SPEC.max_steps,
+        )
+        foreign = cache.load_golden(key)
+        foreign.mem_hashes[5] ^= 1
+        cache.store_golden(key, foreign)
+
+        first = self.load(first_variant)
+        rebuilt = self.load(variant)
+        assert len(self.recorded) == 1 and self.recorded[0] is first
+        assert rebuilt.mem_hashes is first.mem_hashes
+        assert cache.load_golden(key).mem_hashes == first.mem_hashes
 
 
 class TestDifferentialResults:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.isa.builder import ProgramBuilder
-from repro.isa.instructions import Opcode
 from repro.isa.registers import Reg
 from repro.runtime import trace as tr
 from repro.runtime.interpreter import (
@@ -217,7 +216,3 @@ class TestTrace:
         summary = result.summary()
         assert summary.boundaries > 0
         assert summary.committed == summary.total - summary.boundaries
-
-    def test_kind_of_opcode_total(self):
-        for op in Opcode:
-            assert tr.kind_of_opcode(op) in range(9)

@@ -17,10 +17,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.compiler.config import turnpike_config
 from repro.compiler.pipeline import compile_program
-from repro.faults.campaign import VARIANT_CONFIGS
 from repro.faults.injector import golden_memory, run_with_injection
 from repro.isa.registers import Reg
-from repro.runtime.machine import Injection, InjectionTarget
+from repro.runtime.machine import Injection, InjectionTarget, variant_config
 from repro.runtime.memory import Memory
 from repro.verify import VerifierContext, default_rules
 from repro.verify.rules.vulnerability import (
@@ -35,7 +34,6 @@ from repro.verify.vuln import (
     VULNERABLE,
     VulnerabilityMap,
     build_map,
-    variant_config,
 )
 
 from helpers import build_sum_loop
@@ -55,13 +53,6 @@ def _sum_loop_setup():
 
 
 class TestVariantConfig:
-    @pytest.mark.parametrize("variant", sorted(VARIANT_CONFIGS))
-    def test_matches_campaign_constructors(self, variant):
-        # vuln.variant_config is a deliberate local mirror (it cannot
-        # import the campaign module without a cycle); lock the two.
-        assert variant_config(variant, 10) == VARIANT_CONFIGS[variant](10)
-        assert variant_config(variant, 25) == VARIANT_CONFIGS[variant](25)
-
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             variant_config("bogus")
